@@ -10,6 +10,7 @@
 #include "rfp/core/disentangle.hpp"
 #include "rfp/core/fitting.hpp"
 #include "rfp/core/preprocess.hpp"
+#include "rfp/geom/frame.hpp"
 
 namespace {
 
@@ -82,6 +83,37 @@ void BM_SolveOrientation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolveOrientation)->Unit(benchmark::kMillisecond);
+
+const Testbed& bed_3d() {
+  static const Testbed instance{[] {
+    TestbedConfig config;
+    config.mode_3d = true;
+    return config;
+  }()};
+  return instance;
+}
+
+void BM_SolveOrientation3D(benchmark::State& state) {
+  // The 3D scan: 720 azimuth x 360 elevation cells per solve.
+  const Testbed& bed = bed_3d();
+  const RfPrismConfig& config = bed.prism().config();
+  const RoundTrace round = bed.collect(
+      TagState{{0.9, 1.2, 0.5}, spherical_polarization(0.7, 0.3), "glass"},
+      /*trial=*/12345);
+  const std::vector<AntennaLine> lines =
+      fit_all_antennas(preprocess_round(round), FittingConfig{});
+  const PositionSolve pos =
+      solve_position(config.geometry, lines, config.disentangle);
+  std::size_t rescored = 0;
+  for (auto _ : state) {
+    const OrientationSolve solve = solve_orientation(
+        config.geometry, lines, pos.position, config.disentangle);
+    rescored = solve.rescored;
+    benchmark::DoNotOptimize(solve);
+  }
+  state.counters["rescored"] = static_cast<double>(rescored);
+}
+BENCHMARK(BM_SolveOrientation3D)->Unit(benchmark::kMillisecond);
 
 void BM_FullSense(benchmark::State& state) {
   // Paper: "data pre-processing and parameter estimation can be completed

@@ -32,7 +32,9 @@
 ///   syscall dominates the cycle has no headroom for the data path to
 ///   show).
 ///
-/// Cells report sustained requests/sec plus p50/p99 window latency.
+/// Cells report sustained requests/sec plus p50/p99 window latency; the
+/// solve sweep's rate is the median of three interleaved measurements,
+/// each serving the same number of requests at every depth.
 
 #include <fcntl.h>
 #include <sys/uio.h>
@@ -508,81 +510,105 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> depths =
         quick ? std::vector<std::size_t>{4}
               : std::vector<std::size_t>{1, 8};
+    // Windows per client at the deepest pipeline; shallower depths run
+    // proportionally more windows so every cell serves the same number
+    // of requests (a depth-1 cell would otherwise time only ~30 ms of
+    // work, too little to compare against depth 8 on a shared runner).
     const std::size_t windows = quick ? 3 : 10;
+    // Each cell is measured this many times, the depths interleaved, and
+    // reports its median rate: at 8 clients both depths saturate a
+    // 4-core runner and single runs scatter by ~10%.
+    const std::size_t rounds = quick ? 1 : 3;
+
+    // One measurement of a (tenants, clients, depth) cell: appends the
+    // window latencies, returns requests/s (or -1 after printing a FAIL).
+    const auto measure = [&](std::size_t n_tenants, std::size_t n_clients,
+                             std::size_t depth,
+                             std::vector<double>& window_ms) -> double {
+      std::vector<ClientOutcome> outcomes(n_clients);
+      const auto t0 = Clock::now();
+      std::vector<std::thread> threads;
+      for (std::size_t c = 0; c < n_clients; ++c) {
+        threads.emplace_back([&, c] {
+          ClientOutcome& out = outcomes[c];
+          const Deployment& dep = deployments[c % n_tenants];
+          try {
+            net::ClientConfig config;
+            config.port = server.port();
+            config.io_timeout_s = 120.0;
+            net::Client client(config);
+            if (c % n_tenants != 0) {
+              client.setup_session(dep.bed->prism().config().geometry,
+                                   dep.bed->prism().calibrations(),
+                                   /*enable_drift=*/false);
+            }
+            std::size_t cursor = c;  // offset clients across the corpus
+            const std::size_t cell_windows = windows * depths.back() / depth;
+            for (std::size_t w = 0; w < cell_windows; ++w) {
+              const auto w0 = Clock::now();
+              std::vector<std::size_t> sent;
+              for (std::size_t d = 0; d < depth; ++d) {
+                const std::size_t k = cursor++ % dep.corpus.size();
+                client.send_sense(dep.corpus[k], dep.bed->tag_id());
+                sent.push_back(k);
+              }
+              for (std::size_t k : sent) {
+                const net::Frame frame = client.read_frame();
+                if (frame.type != net::FrameType::kSenseResponse ||
+                    frame.payload != dep.expected[k]) {
+                  out.error =
+                      "response mismatch for round " + std::to_string(k);
+                  return;
+                }
+                ++out.completed;
+              }
+              out.window_ms.push_back(1e3 * seconds_since(w0));
+            }
+          } catch (const std::exception& e) {
+            out.error = e.what();
+          }
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      const double elapsed = seconds_since(t0);
+
+      std::size_t completed = 0;
+      for (const ClientOutcome& out : outcomes) {
+        if (!out.error.empty()) {
+          std::fprintf(stderr, "FAIL: %s\n", out.error.c_str());
+          return -1.0;
+        }
+        window_ms.insert(window_ms.end(), out.window_ms.begin(),
+                         out.window_ms.end());
+        completed += out.completed;
+      }
+      return elapsed > 0.0 ? static_cast<double>(completed) / elapsed : 0.0;
+    };
 
     std::printf("  %-8s %-8s %-8s %-14s %-10s %s\n", "tenants", "clients",
                 "depth", "req/s", "p50[ms]", "p99[ms]");
     for (std::size_t n_tenants : tenant_counts) {
       for (std::size_t n_clients : client_counts) {
-        for (std::size_t depth : depths) {
-          std::vector<ClientOutcome> outcomes(n_clients);
-          const auto t0 = Clock::now();
-          std::vector<std::thread> threads;
-          for (std::size_t c = 0; c < n_clients; ++c) {
-            threads.emplace_back([&, c] {
-              ClientOutcome& out = outcomes[c];
-              const Deployment& dep = deployments[c % n_tenants];
-              try {
-                net::ClientConfig config;
-                config.port = server.port();
-                config.io_timeout_s = 120.0;
-                net::Client client(config);
-                if (c % n_tenants != 0) {
-                  client.setup_session(dep.bed->prism().config().geometry,
-                                       dep.bed->prism().calibrations(),
-                                       /*enable_drift=*/false);
-                }
-                std::size_t cursor = c;  // offset clients across the corpus
-                for (std::size_t w = 0; w < windows; ++w) {
-                  const auto w0 = Clock::now();
-                  std::vector<std::size_t> sent;
-                  for (std::size_t d = 0; d < depth; ++d) {
-                    const std::size_t k = cursor++ % dep.corpus.size();
-                    client.send_sense(dep.corpus[k], dep.bed->tag_id());
-                    sent.push_back(k);
-                  }
-                  for (std::size_t k : sent) {
-                    const net::Frame frame = client.read_frame();
-                    if (frame.type != net::FrameType::kSenseResponse ||
-                        frame.payload != dep.expected[k]) {
-                      out.error = "response mismatch for round " +
-                                  std::to_string(k);
-                      return;
-                    }
-                    ++out.completed;
-                  }
-                  out.window_ms.push_back(1e3 * seconds_since(w0));
-                }
-              } catch (const std::exception& e) {
-                out.error = e.what();
-              }
-            });
+        std::vector<std::vector<double>> rates(depths.size());
+        std::vector<std::vector<double>> window_ms(depths.size());
+        for (std::size_t round = 0; round < rounds; ++round) {
+          for (std::size_t d = 0; d < depths.size(); ++d) {
+            const double rate =
+                measure(n_tenants, n_clients, depths[d], window_ms[d]);
+            if (rate < 0.0) return 1;
+            rates[d].push_back(rate);
           }
-          for (std::thread& t : threads) t.join();
-          const double elapsed = seconds_since(t0);
-
-          std::vector<double> window_ms;
-          std::size_t completed = 0;
-          for (const ClientOutcome& out : outcomes) {
-            if (!out.error.empty()) {
-              std::fprintf(stderr, "FAIL: %s\n", out.error.c_str());
-              return 1;
-            }
-            window_ms.insert(window_ms.end(), out.window_ms.begin(),
-                             out.window_ms.end());
-            completed += out.completed;
-          }
-
+        }
+        for (std::size_t d = 0; d < depths.size(); ++d) {
           Cell cell;
           cell.mode = "solve";
           cell.reactors = 2;
           cell.tenants = n_tenants;
           cell.clients = n_clients;
-          cell.depth = depth;
-          cell.requests_per_s =
-              elapsed > 0.0 ? static_cast<double>(completed) / elapsed : 0.0;
-          cell.p50_ms = percentile(window_ms, 50.0);
-          cell.p99_ms = percentile(window_ms, 99.0);
+          cell.depth = depths[d];
+          cell.requests_per_s = percentile(rates[d], 50.0);
+          cell.p50_ms = percentile(window_ms[d], 50.0);
+          cell.p99_ms = percentile(window_ms[d], 99.0);
           cells.push_back(cell);
           std::printf("  %-8zu %-8zu %-8zu %-14.1f %-10.2f %.2f\n",
                       cell.tenants, cell.clients, cell.depth,

@@ -12,21 +12,36 @@
 /// the uncached one, or when cached+pyramid does not reach the ISSUE's
 /// >= 5x p50 speedup over the uncached exhaustive scan.
 ///
+/// A stage-b-3d row times the Stage-B orientation solve on 3D testbed
+/// rounds: the library's ranked scan against a bench-local copy of the
+/// canonical full scan it replaced (every cell scored with atan2/sin/cos/
+/// fmod). Both must agree bit for bit; the bench exits non-zero when
+/// they do not. CI re-runs the bench at each dispatch level
+/// (RFP_SIMD_LEVEL) and gates the row at >= 3x.
+///
 /// A second sweep times the Stage-A *ranking* in isolation
 /// (rank_exhaustive over the cached table) per kernel — canonical
 /// two-pass, factored-scalar, factored-simd — and gates factored-simd at
 /// >= 4x the canonical p50 on the default scene (target: 8x) whenever
 /// AVX2 dispatch is actually active.
 
+#include <bit>
 #include <chrono>
-#include <span>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "rfp/common/angles.hpp"
 #include "rfp/core/disentangle.hpp"
+#include "rfp/core/fitting.hpp"
 #include "rfp/core/grid_cache.hpp"
+#include "rfp/core/preprocess.hpp"
+#include "rfp/geom/frame.hpp"
 #include "rfp/rfsim/scene.hpp"
 #include "rfp/simd/dispatch.hpp"
 #include "support/bench_util.hpp"
@@ -238,6 +253,115 @@ double run_rank_batch(const DeploymentGeometry& geometry, const Workload& load,
   return checksum;
 }
 
+/// The canonical 3D Stage-B scan the ranked scan replaced, kept as the
+/// speed and bit-identity reference: every (azimuth, elevation) cell is
+/// scored with the full atan2 / circular-mean intercept cost, strict-<
+/// scan-order argmin.
+OrientationSolve reference_orientation_3d(const DeploymentGeometry& geometry,
+                                          std::span<const AntennaLine> lines,
+                                          Vec3 p,
+                                          const DisentangleConfig& config) {
+  std::vector<OrthoFrame> ray;
+  std::vector<double> intercept;
+  for (const AntennaLine& line : lines) {
+    if (line.fit.n < 3) continue;
+    ray.push_back(propagation_adjusted_frame(
+        geometry.antenna_frames[line.antenna],
+        geometry.antenna_positions[line.antenna], p));
+    intercept.push_back(line.fit.intercept);
+  }
+  std::vector<double> residual(ray.size());
+  const std::size_t az_steps = config.orientation_scan_steps;
+  const std::size_t el_steps = std::max<std::size_t>(az_steps / 2, 4);
+  OrientationSolve best;
+  double best_rss = std::numeric_limits<double>::infinity();
+  for (std::size_t ia = 0; ia < az_steps; ++ia) {
+    const double alpha =
+        kPi * static_cast<double>(ia) / static_cast<double>(az_steps);
+    for (std::size_t ie = 0; ie < el_steps; ++ie) {
+      const double elevation =
+          -kPi / 2.0 +
+          kPi * static_cast<double>(ie) / static_cast<double>(el_steps - 1);
+      const Vec3 w = spherical_polarization(alpha, elevation);
+      for (std::size_t i = 0; i < ray.size(); ++i) {
+        residual[i] =
+            wrap_to_2pi(intercept[i] - polarization_phase(ray[i], w));
+      }
+      const double bt = wrap_to_2pi(circular_mean(residual));
+      double rss = 0.0;
+      for (double a : residual) {
+        const double r = ang_diff(a, bt);
+        rss += r * r;
+      }
+      if (rss < best_rss) {
+        best_rss = rss;
+        best.alpha = alpha;
+        best.polarization = w;
+        best.bt = bt;
+      }
+    }
+  }
+  best.rms = std::sqrt(best_rss / static_cast<double>(ray.size()));
+  return best;
+}
+
+bool same_solve(const OrientationSolve& a, const OrientationSolve& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return bits(a.alpha) == bits(b.alpha) && bits(a.bt) == bits(b.bt) &&
+         bits(a.rms) == bits(b.rms) &&
+         bits(a.polarization.x) == bits(b.polarization.x) &&
+         bits(a.polarization.y) == bits(b.polarization.y) &&
+         bits(a.polarization.z) == bits(b.polarization.z);
+}
+
+/// Stage-B 3D: per-solve latency of the ranked scan (library) and the
+/// reference scan over fitted 3D testbed rounds, interleaved per solve.
+/// Returns false on any bit mismatch between the two.
+bool run_stage_b_3d(std::size_t n_rounds, std::size_t reps,
+                    std::vector<double>& ranked_us,
+                    std::vector<double>& reference_us,
+                    std::size_t& antennas) {
+  TestbedConfig tc;
+  tc.mode_3d = true;
+  const Testbed bed(tc);
+  const RfPrismConfig& config = bed.prism().config();
+  antennas = config.geometry.n_antennas();
+  Rng rng(mix_seed(3, 0x5B3D));
+  std::vector<std::vector<AntennaLine>> lines;
+  std::vector<Vec3> positions;
+  for (std::size_t k = 0; k < n_rounds; ++k) {
+    const TagState state{
+        {0.3 + 1.4 * rng.uniform(), 0.3 + 1.4 * rng.uniform(),
+         rng.uniform(0.2, 0.8)},
+        spherical_polarization(rng.uniform(0.0, kTwoPi),
+                               rng.uniform(-1.0, 1.0)),
+        "glass"};
+    lines.push_back(fit_all_antennas(
+        preprocess_round(bed.collect(state, 7300 + k)), FittingConfig{}));
+    positions.push_back(
+        solve_position(config.geometry, lines.back(), config.disentangle)
+            .position);
+  }
+  SolveWorkspace ws;
+  bool identical = true;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t k = 0; k < n_rounds; ++k) {
+      auto t0 = Clock::now();
+      const OrientationSolve ranked = solve_orientation(
+          config.geometry, lines[k], positions[k], config.disentangle, ws);
+      ranked_us.push_back(
+          1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
+      t0 = Clock::now();
+      const OrientationSolve reference = reference_orientation_3d(
+          config.geometry, lines[k], positions[k], config.disentangle);
+      reference_us.push_back(
+          1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
+      identical = identical && same_solve(ranked, reference);
+    }
+  }
+  return identical;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -415,6 +539,30 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- Stage B, 3D: ranked scan vs the canonical full scan -------------
+  bool stage_b_identical = true;
+  double stage_b_speedup = 0.0;
+  {
+    std::vector<double> ranked_us, reference_us;
+    std::size_t antennas = 0;
+    stage_b_identical = run_stage_b_3d(quick ? 4 : 8, quick ? 2 : 4,
+                                       ranked_us, reference_us, antennas);
+    Cell cell;
+    cell.antennas = antennas;
+    cell.mode = "stage-b-3d";
+    cell.kernel = simd::name(simd::active());
+    cell.p50_us = percentile(ranked_us, 50.0);
+    cell.p99_us = percentile(ranked_us, 99.0);
+    const double reference_p50 = percentile(reference_us, 50.0);
+    cell.speedup = cell.p50_us > 0.0 ? reference_p50 / cell.p50_us : 0.0;
+    stage_b_speedup = cell.speedup;
+    cells.push_back(cell);
+    std::printf("\n  stage-b-3d (%s): ranked p50 %.1f us, canonical scan "
+                "p50 %.1f us -> %.2fx, %s\n",
+                cell.kernel.c_str(), cell.p50_us, reference_p50, cell.speedup,
+                stage_b_identical ? "bit-identical" : "MISMATCH");
+  }
+
   std::printf("\n  JSON:\n[");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
@@ -471,6 +619,15 @@ int main(int argc, char** argv) {
                  "FAIL: batched ranking p50 speedup %.2fx < 2x over the "
                  "per-tag loop at B=16\n",
                  batch16_speedup);
+    ++failures;
+  }
+  std::printf("  stage-b-3d ranked scan: %.2fx the canonical scan p50 "
+              "(CI gate 3x at every dispatch level)\n",
+              stage_b_speedup);
+  if (!stage_b_identical) {
+    std::fprintf(stderr,
+                 "FAIL: stage-b-3d ranked scan differs from the canonical "
+                 "scan\n");
     ++failures;
   }
   return failures == 0 ? 0 : 1;

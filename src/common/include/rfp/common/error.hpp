@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 /// \file error.hpp
 /// Exception hierarchy and precondition assertions. Following the Core
@@ -34,9 +35,15 @@ class NotFound : public Error {
   using Error::Error;
 };
 
-/// Throw InvalidArgument when `cond` is false.
-inline void require(bool cond, const std::string& what) {
-  if (!cond) throw InvalidArgument(what);
+/// Throw InvalidArgument when `cond` is false. The message is a view, so a
+/// passing check costs one branch: the std::string is built only on the
+/// throw path (hot loops call require with literals longer than the
+/// small-string buffer, which a `const std::string&` parameter would
+/// heap-allocate on every call).
+inline void require(bool cond, std::string_view what) {
+  if (!cond) [[unlikely]] {
+    throw InvalidArgument(std::string(what));
+  }
 }
 
 }  // namespace rfp

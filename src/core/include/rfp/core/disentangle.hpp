@@ -61,8 +61,8 @@ struct DisentangleConfig {
   std::size_t orientation_scan_steps = 720;
 
   /// Stage B golden-section refinement stops once the bracket is narrower
-  /// than this [rad] (well below any physical orientation accuracy).
-  /// <= 0 restores the legacy fixed 40 iterations.
+  /// than this [rad] (well below any physical orientation accuracy), and
+  /// after at most 40 iterations. Must be > 0.
   double orientation_refine_tol_rad = 1e-6;
 
   // ---- Solver acceleration (DESIGN.md "Solver acceleration") -----------
@@ -150,6 +150,9 @@ struct OrientationSolve {
   Vec3 polarization{1, 0, 0};
   double bt = 0.0;         ///< material intercept, wrapped to [0, 2*pi)
   double rms = 0.0;        ///< RMS wrapped intercept residual [rad]
+  /// Scan cells the ranked Stage-B scan re-scored canonically
+  /// (diagnostic; DESIGN.md "Stage-B ranked scan").
+  std::size_t rescored = 0;
 };
 
 /// Solve position + kt from per-antenna slopes. Requires >= 3 usable lines
@@ -189,6 +192,10 @@ PositionSolve solve_position(const DeploymentGeometry& geometry,
 /// sensitivity to position error is tiny — degrees of ray per tens of cm).
 /// In 2D mode the polarization is constrained to the tag plane; in 3D mode
 /// azimuth and elevation are both scanned. Requires >= 3 usable lines.
+/// The scan ranks every cell with the trig-free rfp::simd kernel at the
+/// simd::active() level and re-scores the possible winners canonically
+/// (DESIGN.md "Stage-B ranked scan"), so the result is byte-identical to
+/// scoring every cell canonically; RankKernel does not apply.
 OrientationSolve solve_orientation(const DeploymentGeometry& geometry,
                                    std::span<const AntennaLine> lines,
                                    Vec3 tag_position,

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -16,11 +17,14 @@
 #include "rfp/common/error.hpp"
 #include "rfp/core/grid_cache.hpp"
 #include "rfp/simd/kernels.hpp"
+#include "rfp/simd/stage_b.hpp"
 #include "rfp/solver/levenberg_marquardt.hpp"
 
 namespace rfp {
 
 namespace {
+
+struct ScanTables;
 
 /// Flat (structure-of-arrays) snapshot of one round's usable lines —
 /// antenna geometry and fitted line parameters copied out of the
@@ -39,6 +43,15 @@ struct RoundSnapshot {
   // Scratch for the orientation stage (single-threaded per solve).
   std::vector<OrthoFrame> ray;            ///< frames at the current position
   std::vector<double> residual_angle;     ///< wrapped intercept residuals
+
+  // Stage-B ranked scan (DESIGN.md "Stage-B ranked scan"), refreshed per
+  // solve except the shared w tables, which are swapped only when the
+  // scan resolution changes.
+  std::vector<double> orient_planes;   ///< ux uy uz vx vy vz cos_b sin_b, n each
+  std::vector<double> orient_scratch;  ///< kernel scratch
+  std::shared_ptr<const ScanTables> scan_tables;
+  std::vector<std::size_t> cand_cell;  ///< re-score candidates, scan order
+  std::vector<double> cand_rank;       ///< ... and their ranks
 
   // Antenna-factored sufficient statistics (DESIGN.md "Vectorized
   // kernels"), folded once per round: with count_a, S1_a = Σ slope,
@@ -259,6 +272,196 @@ void fill_ray_frames(RoundSnapshot& snap, Vec3 p) {
     snap.ray[i] =
         propagation_adjusted_frame(snap.aperture[i], snap.position[i], p);
   }
+}
+
+/// Stage-B w tables for one scan resolution (el_steps == 1 is the planar
+/// scan): cos/sin per azimuth and per elevation, computed exactly as
+/// planar_polarization / spherical_polarization compute them, so the w
+/// vectors the kernel ranks are the canonical scan's. They depend on the
+/// resolution only, so one immutable copy serves every solve.
+struct ScanTables {
+  std::size_t az_steps = 0;
+  std::size_t el_steps = 0;
+  std::vector<double> cos_az, sin_az;
+  std::vector<double> cos_el;  ///< 3D only
+  std::vector<double> sin_el;  ///< 3D; az_steps zeros (the w_z) in 2D
+};
+
+std::shared_ptr<const ScanTables> make_scan_tables(std::size_t az_steps,
+                                                   std::size_t el_steps) {
+  auto t = std::make_shared<ScanTables>();
+  t->az_steps = az_steps;
+  t->el_steps = el_steps;
+  for (std::size_t ia = 0; ia < az_steps; ++ia) {
+    const double alpha =
+        kPi * static_cast<double>(ia) / static_cast<double>(az_steps);
+    t->cos_az.push_back(std::cos(alpha));
+    t->sin_az.push_back(std::sin(alpha));
+  }
+  if (el_steps == 1) {
+    t->sin_el.assign(az_steps, 0.0);
+    return t;
+  }
+  for (std::size_t ie = 0; ie < el_steps; ++ie) {
+    const double elevation =
+        -kPi / 2.0 +
+        kPi * static_cast<double>(ie) / static_cast<double>(el_steps - 1);
+    t->cos_el.push_back(std::cos(elevation));
+    t->sin_el.push_back(std::sin(elevation));
+  }
+  return t;
+}
+
+/// The process-wide tables for a resolution, from a small cache of the
+/// most recently used ones (holders keep evicted tables alive).
+std::shared_ptr<const ScanTables> shared_scan_tables(std::size_t az_steps,
+                                                     std::size_t el_steps) {
+  static std::mutex mutex;
+  static std::vector<std::shared_ptr<const ScanTables>> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
+  for (const auto& t : cache) {
+    if (t->az_steps == az_steps && t->el_steps == el_steps) return t;
+  }
+  if (cache.size() == 4) cache.erase(cache.begin());
+  cache.push_back(make_scan_tables(az_steps, el_steps));
+  return cache.back();
+}
+
+/// The Stage-B scan (DESIGN.md "Stage-B ranked scan"): cell
+/// ia·el_steps + ie is w(alpha_ia, elevation_ie), or w(alpha_ia) when
+/// el_steps == 1. Every cell is ranked by the trig-free rfp::simd kernel;
+/// then, in scan order and with strict <, intercept_cost re-scores every
+/// unsafe cell and every cell ranked within 2·margin of the ranking
+/// minimum. Any other cell costs canonically strictly more than the
+/// minimum-rank cell, so `best`/`best_rss` end exactly where a canonical
+/// scan of every cell would leave them, and a cell that would make
+/// circular_mean throw is unsafe, so the first one throws here too.
+/// Returns the number of cells re-scored.
+std::size_t scan_orientation(RoundSnapshot& snap, std::size_t az_steps,
+                             std::size_t el_steps, OrientationSolve& best,
+                             double& best_rss) {
+  const std::size_t n = snap.n;
+  if (!snap.scan_tables || snap.scan_tables->az_steps != az_steps ||
+      snap.scan_tables->el_steps != el_steps) {
+    snap.scan_tables = shared_scan_tables(az_steps, el_steps);
+  }
+  const ScanTables& tables = *snap.scan_tables;
+  snap.orient_planes.resize(8 * n);
+  double* plane = snap.orient_planes.data();
+  double max_abs_b = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const OrthoFrame& f = snap.ray[i];
+    plane[i] = f.u.x;
+    plane[n + i] = f.u.y;
+    plane[2 * n + i] = f.u.z;
+    plane[3 * n + i] = f.v.x;
+    plane[4 * n + i] = f.v.y;
+    plane[5 * n + i] = f.v.z;
+    plane[6 * n + i] = std::cos(snap.intercept[i]);
+    plane[7 * n + i] = std::sin(snap.intercept[i]);
+    max_abs_b = std::max(max_abs_b, std::abs(snap.intercept[i]));
+  }
+  const simd::OrientationLines lines{n,         plane,         plane + n,
+                                     plane + 2 * n, plane + 3 * n,
+                                     plane + 4 * n, plane + 5 * n,
+                                     plane + 6 * n, plane + 7 * n};
+  snap.orient_scratch.resize(simd::kOrientScratchPerLine * n);
+  // NaN intercepts leave max_abs_b alone but make every cell unsafe; an
+  // infinite one makes the margin infinite. Either way every cell is
+  // re-scored, as the canonical scan would score it.
+  const double margin = simd::orientation_margin(n, max_abs_b);
+  const simd::Level level = simd::active();
+
+  snap.cand_cell.clear();
+  snap.cand_rank.clear();
+  double rank_min = std::numeric_limits<double>::infinity();
+  // Cells are ranked in runs of at most kRun.
+  constexpr std::size_t kRun = 64;
+  double rank[kRun];
+  const auto rank_run = [&](std::size_t first_cell, const double* wx,
+                            const double* wy, const double* wz,
+                            std::size_t count) {
+    // Cells whose cost lower bound clears the current limit come back
+    // +inf: they cost canonically more than rank_min + margin, so more
+    // than the minimum-rank cell, and are not candidates.
+    const double old_limit = rank_min + 2.0 * margin;
+    const double run_min =
+        simd::orientation_rank_run(level, lines, wx, wy, wz, count, old_limit,
+                                   rank, snap.orient_scratch.data());
+    rank_min = std::min(rank_min, run_min);
+    const double limit = rank_min + 2.0 * margin;
+    if (limit < old_limit) {
+      // The minimum dropped: forget earlier candidates now out of reach
+      // (unsafe cells rank −inf and always stay).
+      std::size_t kept = 0;
+      for (std::size_t c = 0; c < snap.cand_cell.size(); ++c) {
+        if (snap.cand_rank[c] <= limit) {
+          snap.cand_cell[kept] = snap.cand_cell[c];
+          snap.cand_rank[kept] = snap.cand_rank[c];
+          ++kept;
+        }
+      }
+      snap.cand_cell.resize(kept);
+      snap.cand_rank.resize(kept);
+    }
+    for (const std::uint32_t i :
+         margin_candidates(rank, count, limit, level)) {
+      snap.cand_cell.push_back(first_cell + i);
+      snap.cand_rank.push_back(rank[i]);
+    }
+  };
+  if (el_steps == 1) {
+    for (std::size_t ia = 0; ia < az_steps; ia += kRun) {
+      rank_run(ia, &tables.cos_az[ia], &tables.sin_az[ia], &tables.sin_el[ia],
+               std::min(kRun, az_steps - ia));
+    }
+  } else {
+    // Every kCoarse-th azimuth row is ranked first, then the rest: the
+    // running minimum then starts near its final value, which keeps the
+    // early-out effective and the candidate list short. (Ranked in scan
+    // order, the pole cells that every row shares would otherwise pile up
+    // as near-ties of the early rows' minimum.) Only the re-score has to
+    // run in scan order.
+    constexpr std::size_t kCoarse = 16;
+    double wx[kRun], wy[kRun];
+    for (const bool coarse : {true, false}) {
+      for (std::size_t ia = 0; ia < az_steps; ++ia) {
+        if ((ia % kCoarse == 0) != coarse) continue;
+        for (std::size_t ie = 0; ie < el_steps; ie += kRun) {
+          const std::size_t count = std::min(kRun, el_steps - ie);
+          for (std::size_t k = 0; k < count; ++k) {
+            wx[k] = tables.cos_el[ie + k] * tables.cos_az[ia];
+            wy[k] = tables.cos_el[ie + k] * tables.sin_az[ia];
+          }
+          rank_run(ia * el_steps + ie, wx, wy, &tables.sin_el[ie], count);
+        }
+      }
+    }
+    std::sort(snap.cand_cell.begin(), snap.cand_cell.end());
+  }
+
+  for (const std::size_t cell : snap.cand_cell) {
+    const std::size_t ia = cell / el_steps;
+    const double alpha =
+        kPi * static_cast<double>(ia) / static_cast<double>(az_steps);
+    Vec3 w;
+    if (el_steps == 1) {
+      w = planar_polarization(alpha);
+    } else {
+      const double elevation =
+          -kPi / 2.0 + kPi * static_cast<double>(cell % el_steps) /
+                           static_cast<double>(el_steps - 1);
+      w = spherical_polarization(alpha, elevation);
+    }
+    const InterceptCost c = intercept_cost(snap, w);
+    if (c.rss < best_rss) {
+      best_rss = c.rss;
+      best.alpha = alpha;
+      best.polarization = w;
+      best.bt = c.bt;
+    }
+  }
+  return snap.cand_cell.size();
 }
 
 /// Per-chunk result of the Stage-A grid scan: the first strict minimum in
@@ -1456,58 +1659,30 @@ OrientationSolve solve_orientation(const DeploymentGeometry& geometry,
   require(snap.n >= 3, "solve_orientation: need >= 3 usable lines");
   require(config.orientation_scan_steps >= 8,
           "solve_orientation: scan too coarse");
+  require(config.orientation_refine_tol_rad > 0.0,
+          "solve_orientation: refine tolerance must be > 0");
   const bool mode_3d = config.grid_nz > 1;
   fill_ray_frames(snap, tag_position);
 
   OrientationSolve best;
   double best_rss = std::numeric_limits<double>::infinity();
 
-  const std::size_t az_steps = config.orientation_scan_steps;
   // theta_orient has period pi in the polarization angle (w ~ -w), so a
-  // half-turn of azimuth covers everything in 2D.
-  for (std::size_t ia = 0; ia < az_steps; ++ia) {
-    const double alpha =
-        kPi * static_cast<double>(ia) / static_cast<double>(az_steps);
-    if (!mode_3d) {
-      const Vec3 w = planar_polarization(alpha);
-      const InterceptCost c = intercept_cost(snap, w);
-      if (c.rss < best_rss) {
-        best_rss = c.rss;
-        best.alpha = alpha;
-        best.polarization = w;
-        best.bt = c.bt;
-      }
-    } else {
-      const std::size_t el_steps = std::max<std::size_t>(az_steps / 2, 4);
-      for (std::size_t ie = 0; ie < el_steps; ++ie) {
-        const double elevation =
-            -kPi / 2.0 + kPi * static_cast<double>(ie) /
-                             static_cast<double>(el_steps - 1);
-        const Vec3 w = spherical_polarization(alpha, elevation);
-        const InterceptCost c = intercept_cost(snap, w);
-        if (c.rss < best_rss) {
-          best_rss = c.rss;
-          best.alpha = alpha;
-          best.polarization = w;
-          best.bt = c.bt;
-        }
-      }
-    }
-  }
+  // half-turn of azimuth covers everything in 2D; 3D adds elevation.
+  const std::size_t az_steps = config.orientation_scan_steps;
+  const std::size_t el_steps =
+      mode_3d ? std::max<std::size_t>(az_steps / 2, 4) : 1;
+  best.rescored = scan_orientation(snap, az_steps, el_steps, best, best_rss);
 
   // Local golden-section style refinement around the best scan cell (2D
   // only; the 3D scan is already dense enough for the grid resolution).
-  // Stops once the bracket is narrower than the configured tolerance —
-  // the fixed 40 iterations shrink a ~4e-3 rad bracket by 0.618^40 ≈
-  // 4e-9, far below any physical orientation accuracy.
+  // Stops once the bracket is narrower than the configured tolerance, or
+  // after 40 iterations (a ~4e-3 rad bracket shrunk by 0.618^40 ≈ 4e-9).
   if (!mode_3d) {
     double lo = best.alpha - kPi / static_cast<double>(az_steps);
     double hi = best.alpha + kPi / static_cast<double>(az_steps);
     for (int iter = 0; iter < 40; ++iter) {
-      if (config.orientation_refine_tol_rad > 0.0 &&
-          hi - lo <= config.orientation_refine_tol_rad) {
-        break;
-      }
+      if (hi - lo <= config.orientation_refine_tol_rad) break;
       const double m1 = lo + (hi - lo) * 0.382;
       const double m2 = lo + (hi - lo) * 0.618;
       const double c1 = intercept_cost(snap, planar_polarization(m1)).rss;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "rfp/common/angles.hpp"
 #include "rfp/common/constants.hpp"
@@ -58,22 +57,35 @@ UnwrappedTrace unwrap_trace(std::span<const ChannelPhase> channels) {
   require(!channels.empty(), "unwrap_trace: no channels");
 
   // Merge duplicate frequencies (re-visited channels) by circular mean of
-  // their phases, weighted by read count.
-  std::map<double, std::vector<std::pair<double, double>>> by_freq;
+  // their phases, weighted by read count. A stable sort by frequency keeps
+  // each frequency's channels in input order, the order its sums run in.
+  struct Entry {
+    double frequency_hz;
+    double phase;
+    double weight;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(channels.size());
   for (const auto& c : channels) {
     require(c.frequency_hz > 0.0, "unwrap_trace: bad frequency");
-    by_freq[c.frequency_hz].emplace_back(
-        c.phase, static_cast<double>(std::max<std::size_t>(c.n_reads, 1)));
+    entries.push_back(
+        {c.frequency_hz, c.phase,
+         static_cast<double>(std::max<std::size_t>(c.n_reads, 1))});
   }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) {
+                     return a.frequency_hz < b.frequency_hz;
+                   });
 
   UnwrappedTrace trace;
-  trace.frequency_hz.reserve(by_freq.size());
-  trace.phase.reserve(by_freq.size());
-  for (const auto& [freq, entries] : by_freq) {
+  trace.frequency_hz.reserve(entries.size());
+  trace.phase.reserve(entries.size());
+  for (std::size_t i = 0; i < entries.size();) {
+    const double freq = entries[i].frequency_hz;
     double s = 0.0, c = 0.0;
-    for (const auto& [phase, weight] : entries) {
-      s += weight * std::sin(phase);
-      c += weight * std::cos(phase);
+    for (; i < entries.size() && entries[i].frequency_hz == freq; ++i) {
+      s += entries[i].weight * std::sin(entries[i].phase);
+      c += entries[i].weight * std::cos(entries[i].phase);
     }
     trace.frequency_hz.push_back(freq);
     trace.phase.push_back(wrap_to_2pi(std::atan2(s, c)));

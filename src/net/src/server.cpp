@@ -5,6 +5,8 @@
 #include <condition_variable>
 #include <cstring>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -442,6 +444,12 @@ class Server::Reactor {
         ++stats_.connections_rejected;
         continue;
       }
+      // Responses leave in pipelined bursts; with Nagle on, a burst's tail
+      // waits for the peer's delayed ACK (~40 ms per window). Best effort,
+      // as in the client's connect path: a socket that refuses the option
+      // still serves correctly, only slower.
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_unique<Connection>(
           server_.config_.max_payload, &outbox_counters_,
           server_.config_.outbox_coalesce_limit, ready_slots_);
@@ -474,6 +482,10 @@ class Server::Reactor {
           stats_.bytes_received += r.bytes;
         }
         budget -= std::min(budget, r.bytes);
+        // Consume complete frames chunk by chunk: a pipelined window that
+        // arrives as one burst would otherwise sit whole in the decoder,
+        // which keeps that capacity for the connection's lifetime.
+        parse_frames(conn);
         continue;
       }
       if (r.status == IoStatus::kWouldBlock) break;

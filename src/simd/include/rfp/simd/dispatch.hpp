@@ -5,7 +5,9 @@
 /// "Vectorized kernels"). The instruction set is probed once per process
 /// (cpuid) and every kernel call routes through the chosen level; the
 /// scalar fallback is always available and bit-identical to the vector
-/// path, so dispatch never changes results — only speed.
+/// path (the Stage-B ranking kernel is instead within a certified margin
+/// at every level, and the solver re-scores its winners canonically), so
+/// dispatch never changes results — only speed.
 ///
 /// Overrides, from widest to narrowest scope:
 ///  - build: -DRFP_DISABLE_SIMD=ON compiles the vector kernels out

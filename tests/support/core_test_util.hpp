@@ -6,10 +6,14 @@
 /// themselves).
 
 #include <string>
+#include <vector>
 
+#include "rfp/common/angles.hpp"
+#include "rfp/common/constants.hpp"
 #include "rfp/core/fitting.hpp"
 #include "rfp/core/preprocess.hpp"
 #include "rfp/core/types.hpp"
+#include "rfp/geom/frame.hpp"
 #include "rfp/rfsim/reader.hpp"
 
 namespace rfp::testutil {
@@ -44,6 +48,29 @@ inline DeploymentGeometry exact_geometry(const Scene& scene) {
   g.working_region = scene.working_region;
   g.tag_plane_z = scene.tag_plane_z;
   return g;
+}
+
+/// Exact AntennaLines from the physical model at a given state, one per
+/// antenna: k_i = C*d_i + kt, b_i = orient_i + bt (wrapped).
+inline std::vector<AntennaLine> exact_lines(const DeploymentGeometry& geometry,
+                                            Vec3 position, Vec3 polarization,
+                                            double kt, double bt) {
+  std::vector<AntennaLine> lines;
+  for (std::size_t i = 0; i < geometry.n_antennas(); ++i) {
+    AntennaLine line;
+    line.antenna = i;
+    const double d = distance(geometry.antenna_positions[i], position);
+    line.fit.slope = kSlopePerMeter * d + kt;
+    line.fit.intercept = wrap_to_2pi(
+        polarization_phase_toward(geometry.antenna_frames[i],
+                                  geometry.antenna_positions[i], position,
+                                  polarization) +
+        bt);
+    line.fit.n = kNumChannels;
+    line.n_channels = kNumChannels;
+    lines.push_back(line);
+  }
+  return lines;
 }
 
 /// Collect a round and fit all antennas in one step.

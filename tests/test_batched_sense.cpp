@@ -33,6 +33,7 @@ namespace rfp {
 namespace {
 
 using testutil::exact_geometry;
+using testutil::exact_lines;
 
 /// Exact (bitwise on doubles) equality of everything sensing computes.
 void expect_identical(const SensingResult& a, const SensingResult& b,
@@ -84,29 +85,6 @@ RfPrism make_variant(const Testbed& bed, RankKernel kernel, bool batch_rank,
   config.disentangle.batch_rank = batch_rank;
   config.disentangle.pyramid.enable = pyramid;
   return bed.make_pipeline_variant(std::move(config));
-}
-
-/// Exact AntennaLines from the physical model (same helper as the
-/// disentangle tests).
-std::vector<AntennaLine> exact_lines(const DeploymentGeometry& geometry,
-                                     Vec3 position, Vec3 polarization,
-                                     double kt, double bt) {
-  std::vector<AntennaLine> lines;
-  for (std::size_t i = 0; i < geometry.n_antennas(); ++i) {
-    AntennaLine line;
-    line.antenna = i;
-    const double d = distance(geometry.antenna_positions[i], position);
-    line.fit.slope = kSlopePerMeter * d + kt;
-    line.fit.intercept = wrap_to_2pi(
-        polarization_phase_toward(geometry.antenna_frames[i],
-                                  geometry.antenna_positions[i], position,
-                                  polarization) +
-        bt);
-    line.fit.n = kNumChannels;
-    line.n_channels = kNumChannels;
-    lines.push_back(line);
-  }
-  return lines;
 }
 
 // ---------------------------------------------------------------------------

@@ -11,29 +11,7 @@ namespace rfp {
 namespace {
 
 using testutil::exact_geometry;
-
-/// Build exact AntennaLines from the physical model at a given state:
-/// k_i = C*d_i + kt, b_i = orient_i + bt.
-std::vector<AntennaLine> exact_lines(const DeploymentGeometry& geometry,
-                                     Vec3 position, Vec3 polarization,
-                                     double kt, double bt) {
-  std::vector<AntennaLine> lines;
-  for (std::size_t i = 0; i < geometry.n_antennas(); ++i) {
-    AntennaLine line;
-    line.antenna = i;
-    const double d = distance(geometry.antenna_positions[i], position);
-    line.fit.slope = kSlopePerMeter * d + kt;
-    line.fit.intercept = wrap_to_2pi(
-        polarization_phase_toward(geometry.antenna_frames[i],
-                                  geometry.antenna_positions[i], position,
-                                  polarization) +
-        bt);
-    line.fit.n = kNumChannels;
-    line.n_channels = kNumChannels;
-    lines.push_back(line);
-  }
-  return lines;
-}
+using testutil::exact_lines;
 
 std::vector<Vec2> paper_like_grid() {
   std::vector<Vec2> pts;

@@ -28,11 +28,13 @@
 #include "rfp/rfsim/faults.hpp"
 #include "rfp/rfsim/scene.hpp"
 #include "support/core_test_util.hpp"
+#include "support/stage_b_oracle.hpp"
 
 namespace rfp {
 namespace {
 
 using testutil::exact_geometry;
+using testutil::exact_lines;
 
 /// Exact (bitwise on doubles) equality of everything sensing computes.
 /// No tolerances on purpose: bit-identity is the contract.
@@ -56,29 +58,6 @@ void expect_identical(const SensingResult& a, const SensingResult& b,
   EXPECT_EQ(a.kt, b.kt);
   EXPECT_EQ(a.bt, b.bt);
   EXPECT_EQ(a.material_signature, b.material_signature);
-}
-
-/// Exact AntennaLines from the physical model: k_i = C*d_i + kt,
-/// b_i = orient_i + bt (same helper as the disentangle tests).
-std::vector<AntennaLine> exact_lines(const DeploymentGeometry& geometry,
-                                     Vec3 position, Vec3 polarization,
-                                     double kt, double bt) {
-  std::vector<AntennaLine> lines;
-  for (std::size_t i = 0; i < geometry.n_antennas(); ++i) {
-    AntennaLine line;
-    line.antenna = i;
-    const double d = distance(geometry.antenna_positions[i], position);
-    line.fit.slope = kSlopePerMeter * d + kt;
-    line.fit.intercept = wrap_to_2pi(
-        polarization_phase_toward(geometry.antenna_frames[i],
-                                  geometry.antenna_positions[i], position,
-                                  polarization) +
-        bt);
-    line.fit.n = kNumChannels;
-    line.n_channels = kNumChannels;
-    lines.push_back(line);
-  }
-  return lines;
 }
 
 /// A mixed corpus: clean rounds plus heavily faulted ones, so the
@@ -683,20 +662,21 @@ TEST(SolverAccelWarmStart, StreamingWarmTracksMovingTag) {
 // Orientation early stop (satellite)
 // ---------------------------------------------------------------------------
 
-TEST(SolverAccelOrientation, EarlyStopAlphaMatchesLegacy) {
+TEST(SolverAccelOrientation, EarlyStopAlphaMatchesDenseScan) {
+  // The refinement's early stop against the test oracle's dense scan with
+  // the fixed 40 golden-section iterations the solver used to offer as a
+  // "legacy" mode: the answers agree far below physical accuracy.
   const Scene scene = make_scene_2d(71);
   const DeploymentGeometry geometry = exact_geometry(scene);
   const Vec3 truth{1.2, 1.1, 0.0};
-  DisentangleConfig early;  // default: tol = 1e-6 rad
-  DisentangleConfig legacy;
-  legacy.orientation_refine_tol_rad = 0.0;  // fixed 40 iterations
+  const DisentangleConfig config;  // default: tol = 1e-6 rad
   for (double alpha : {0.0, 0.4, 1.0, 1.5, 2.2, 2.9}) {
     const auto lines =
         exact_lines(geometry, truth, planar_polarization(alpha), 1e-9, 0.8);
     const OrientationSolve a =
-        solve_orientation(geometry, lines, truth, early);
-    const OrientationSolve b =
-        solve_orientation(geometry, lines, truth, legacy);
+        solve_orientation(geometry, lines, truth, config);
+    const OrientationSolve b = testutil::oracle_solve_orientation(
+        geometry, lines, truth, config, /*fixed_refine=*/true);
     ASSERT_LE(std::abs(planar_angle_error(a.alpha, b.alpha)), 2e-6)
         << "alpha=" << alpha;
     ASSERT_NEAR(rad2deg(planar_angle_error(a.alpha, alpha)), 0.0, 0.5);
