@@ -1,11 +1,13 @@
 /// Stage-A solver cost: grid x antennas x acceleration-mode sweep.
 ///
 /// Measures per-solve latency (p50/p99, microseconds) of solve_position
-/// on synthetic slope lines across the four Stage-A paths: the legacy
-/// uncached exhaustive scan, the geometry-cached exhaustive scan
-/// (bit-identical, just cheaper), the coarse-to-fine pyramid, and the
-/// hint-windowed warm start. A closing JSON block (BENCH_solver.json in
-/// CI) makes the sweep machine-readable for trending.
+/// on synthetic slope lines across the Stage-A paths — the cached
+/// exhaustive scan, the coarse-to-fine pyramid, and the hint-windowed
+/// warm start — against the uncached canonical solve of the shared test
+/// oracle (tests/support/stage_a_oracle.hpp: distances recomputed per
+/// cell, every cell scored canonically; bit-identical results). A closing
+/// JSON block (BENCH_solver.json in CI) makes the sweep machine-readable
+/// for trending.
 ///
 /// The bench is also the perf gate: at the default 2D scene (41x41 grid)
 /// it exits non-zero when the cached scan is not measurably faster than
@@ -13,30 +15,27 @@
 /// >= 5x p50 speedup over the uncached exhaustive scan.
 ///
 /// A stage-b-3d row times the Stage-B orientation solve on 3D testbed
-/// rounds: the library's ranked scan against a bench-local copy of the
-/// canonical full scan it replaced (every cell scored with atan2/sin/cos/
-/// fmod). Both must agree bit for bit; the bench exits non-zero when
-/// they do not. CI re-runs the bench at each dispatch level
-/// (RFP_SIMD_LEVEL) and gates the row at >= 3x.
+/// rounds: the library's ranked scan against the canonical full scan of
+/// the Stage-B test oracle (tests/support/stage_b_oracle.hpp; every cell
+/// scored with atan2/sin/cos/fmod). Both must agree bit for bit; the
+/// bench exits non-zero when they do not. CI re-runs the bench at each
+/// dispatch level (RFP_SIMD_LEVEL) and gates the row at >= 3x.
 ///
-/// A second sweep times the Stage-A *ranking* in isolation
-/// (rank_exhaustive over the cached table) per kernel — canonical
-/// two-pass, factored-scalar, factored-simd — and gates factored-simd at
-/// >= 4x the canonical p50 on the default scene (target: 8x) whenever
-/// AVX2 dispatch is actually active.
+/// A second sweep times the Stage-A *ranking* in isolation over the
+/// cached table — the oracle's canonical two-pass scan of every cell
+/// against the library's factored ranking (rank_exhaustive_batch on one
+/// round) — and gates the factored ranking at >= 4x the canonical p50 on
+/// the default scene (target: 8x) whenever AVX2 dispatch is active.
 
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "rfp/common/angles.hpp"
 #include "rfp/core/disentangle.hpp"
 #include "rfp/core/fitting.hpp"
 #include "rfp/core/grid_cache.hpp"
@@ -45,6 +44,8 @@
 #include "rfp/rfsim/scene.hpp"
 #include "rfp/simd/dispatch.hpp"
 #include "support/bench_util.hpp"
+#include "support/stage_a_oracle.hpp"
+#include "support/stage_b_oracle.hpp"
 
 namespace {
 
@@ -119,18 +120,6 @@ const char* to_string(Mode mode) {
   return "?";
 }
 
-const char* kernel_name(RankKernel kernel) {
-  switch (kernel) {
-    case RankKernel::kCanonical:
-      return "canonical";
-    case RankKernel::kFactoredScalar:
-      return "factored-scalar";
-    case RankKernel::kFactoredSimd:
-      return "factored-simd";
-  }
-  return "?";
-}
-
 /// Time every mode over the same workload with the modes interleaved rep
 /// by rep, so machine-load drift on a shared runner hits each mode's
 /// samples equally (the mode-vs-mode speedup gates ratio these p50s).
@@ -142,16 +131,21 @@ double run_modes(const DeploymentGeometry& geometry, const Workload& load,
   std::vector<DisentangleConfig> configs(n_modes);
   std::vector<SolveWorkspace> workspaces(n_modes);
   std::vector<GridGeometryCache> caches(n_modes);
+  // The uncached mode is the oracle's canonical solve (no table at all).
+  const auto solve = [&](std::size_t m, std::size_t t, const Vec3* hint) {
+    return modes[m] == Mode::kUncached
+               ? testutil::oracle_solve_position(geometry, load.lines[t],
+                                                 configs[m], workspaces[m])
+               : solve_position(geometry, load.lines[t], configs[m],
+                                workspaces[m], nullptr, &caches[m], hint);
+  };
   for (std::size_t m = 0; m < n_modes; ++m) {
     configs[m].grid_nx = grid;
     configs[m].grid_ny = grid;
-    configs[m].use_geometry_cache = modes[m] != Mode::kUncached;
     configs[m].pyramid.enable = modes[m] == Mode::kPyramid;
     // Warm-up: build the distance table and size the workspace outside
     // the timed region (steady-state cost is what the sweep compares).
-    (void)solve_position(geometry, load.lines[0], configs[m], workspaces[m],
-                         nullptr,
-                         modes[m] == Mode::kUncached ? nullptr : &caches[m]);
+    (void)solve(m, 0, nullptr);
   }
 
   out_us_per_mode.assign(n_modes, {});
@@ -159,8 +153,6 @@ double run_modes(const DeploymentGeometry& geometry, const Workload& load,
   double checksum = 0.0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     for (std::size_t m = 0; m < n_modes; ++m) {
-      GridGeometryCache* cache_ptr =
-          modes[m] == Mode::kUncached ? nullptr : &caches[m];
       for (std::size_t t = 0; t < load.targets.size(); ++t) {
         // Warm mode: the hint a tracker would supply — near the truth, a
         // few cm off.
@@ -168,27 +160,39 @@ double run_modes(const DeploymentGeometry& geometry, const Workload& load,
                         load.targets[t].z};
         const Vec3* hint_ptr = modes[m] == Mode::kWarm ? &hint : nullptr;
         const auto t0 = Clock::now();
-        const PositionSolve solve =
-            solve_position(geometry, load.lines[t], configs[m], workspaces[m],
-                           nullptr, cache_ptr, hint_ptr);
+        const PositionSolve result = solve(m, t, hint_ptr);
         out_us_per_mode[m].push_back(
             1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
-        checksum += solve.position.x;
+        checksum += result.position.x;
       }
     }
   }
   return checksum;  // keep the solves observable
 }
 
+/// One round's exhaustive ranking: the oracle's canonical scan of every
+/// cell, or the library's factored ranking (a batch of one).
+StageARank rank_one(const DeploymentGeometry& geometry,
+                    std::span<const AntennaLine> lines, const GridTable& table,
+                    bool canonical, SolveWorkspace& ws) {
+  if (canonical) {
+    return testutil::oracle_rank_exhaustive(geometry, lines, table, ws);
+  }
+  const BatchedRankRequest request{lines, nullptr};
+  StageARank out;
+  rank_exhaustive_batch(geometry, {&request, 1}, table, ws, {&out, 1});
+  return out;
+}
+
 /// Time the exhaustive Stage-A *ranking* alone (no LM, no Stage B): one
-/// rank_exhaustive call per target per rep over a prebuilt table. This is
-/// the apples-to-apples kernel comparison — every kernel ranks the same
-/// cells and reports the same canonical winner.
+/// ranking per target per rep over a prebuilt table. This is the
+/// apples-to-apples kernel comparison — both rank the same cells and
+/// report the same canonical winner.
 double run_rank(const DeploymentGeometry& geometry, const Workload& load,
-                const GridTable& table, RankKernel kernel, std::size_t reps,
+                const GridTable& table, bool canonical, std::size_t reps,
                 std::vector<double>& out_us) {
   SolveWorkspace ws;
-  (void)rank_exhaustive(geometry, load.lines[0], table, kernel, ws);
+  (void)rank_one(geometry, load.lines[0], table, canonical, ws);
 
   out_us.clear();
   out_us.reserve(reps * load.targets.size());
@@ -197,7 +201,7 @@ double run_rank(const DeploymentGeometry& geometry, const Workload& load,
     for (std::size_t t = 0; t < load.targets.size(); ++t) {
       const auto t0 = Clock::now();
       const StageARank rank =
-          rank_exhaustive(geometry, load.lines[t], table, kernel, ws);
+          rank_one(geometry, load.lines[t], table, canonical, ws);
       out_us.push_back(
           1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
       checksum += rank.rss + static_cast<double>(rank.cell);
@@ -206,8 +210,8 @@ double run_rank(const DeploymentGeometry& geometry, const Workload& load,
   return checksum;
 }
 
-/// Time B exhaustive rankings both ways — B independent rank_exhaustive
-/// calls (the per-tag loop) vs one rank_exhaustive_batch call (tag-major
+/// Time B exhaustive rankings both ways — B rank_exhaustive_batch calls
+/// of one round each (the per-tag loop) vs one call over all B (tag-major
 /// over a shared table pass) — with the arms interleaved rep by rep so
 /// machine-load drift hits both equally. Per-batch wall time in
 /// microseconds.
@@ -224,8 +228,7 @@ double run_rank_batch(const DeploymentGeometry& geometry, const Workload& load,
         nullptr});
   }
   std::vector<StageARank> out(batch);
-  const RankKernel kernel = RankKernel::kFactoredSimd;
-  rank_exhaustive_batch(geometry, requests, table, kernel, ws, out);  // warm
+  rank_exhaustive_batch(geometry, requests, table, ws, out);  // warm
 
   per_tag_us.clear();
   batched_us.clear();
@@ -235,7 +238,8 @@ double run_rank_batch(const DeploymentGeometry& geometry, const Workload& load,
   for (std::size_t rep = 0; rep < reps; ++rep) {
     auto t0 = Clock::now();
     for (std::size_t b = 0; b < batch; ++b) {
-      out[b] = rank_exhaustive(geometry, requests[b].lines, table, kernel, ws);
+      rank_exhaustive_batch(geometry, {&requests[b], 1}, table, ws,
+                            {&out[b], 1});
     }
     per_tag_us.push_back(
         1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
@@ -243,7 +247,7 @@ double run_rank_batch(const DeploymentGeometry& geometry, const Workload& load,
       checksum += rank.rss + static_cast<double>(rank.cell);
     }
     t0 = Clock::now();
-    rank_exhaustive_batch(geometry, requests, table, kernel, ws, out);
+    rank_exhaustive_batch(geometry, requests, table, ws, out);
     batched_us.push_back(
         1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
     for (const StageARank& rank : out) {
@@ -251,58 +255,6 @@ double run_rank_batch(const DeploymentGeometry& geometry, const Workload& load,
     }
   }
   return checksum;
-}
-
-/// The canonical 3D Stage-B scan the ranked scan replaced, kept as the
-/// speed and bit-identity reference: every (azimuth, elevation) cell is
-/// scored with the full atan2 / circular-mean intercept cost, strict-<
-/// scan-order argmin.
-OrientationSolve reference_orientation_3d(const DeploymentGeometry& geometry,
-                                          std::span<const AntennaLine> lines,
-                                          Vec3 p,
-                                          const DisentangleConfig& config) {
-  std::vector<OrthoFrame> ray;
-  std::vector<double> intercept;
-  for (const AntennaLine& line : lines) {
-    if (line.fit.n < 3) continue;
-    ray.push_back(propagation_adjusted_frame(
-        geometry.antenna_frames[line.antenna],
-        geometry.antenna_positions[line.antenna], p));
-    intercept.push_back(line.fit.intercept);
-  }
-  std::vector<double> residual(ray.size());
-  const std::size_t az_steps = config.orientation_scan_steps;
-  const std::size_t el_steps = std::max<std::size_t>(az_steps / 2, 4);
-  OrientationSolve best;
-  double best_rss = std::numeric_limits<double>::infinity();
-  for (std::size_t ia = 0; ia < az_steps; ++ia) {
-    const double alpha =
-        kPi * static_cast<double>(ia) / static_cast<double>(az_steps);
-    for (std::size_t ie = 0; ie < el_steps; ++ie) {
-      const double elevation =
-          -kPi / 2.0 +
-          kPi * static_cast<double>(ie) / static_cast<double>(el_steps - 1);
-      const Vec3 w = spherical_polarization(alpha, elevation);
-      for (std::size_t i = 0; i < ray.size(); ++i) {
-        residual[i] =
-            wrap_to_2pi(intercept[i] - polarization_phase(ray[i], w));
-      }
-      const double bt = wrap_to_2pi(circular_mean(residual));
-      double rss = 0.0;
-      for (double a : residual) {
-        const double r = ang_diff(a, bt);
-        rss += r * r;
-      }
-      if (rss < best_rss) {
-        best_rss = rss;
-        best.alpha = alpha;
-        best.polarization = w;
-        best.bt = bt;
-      }
-    }
-  }
-  best.rms = std::sqrt(best_rss / static_cast<double>(ray.size()));
-  return best;
 }
 
 bool same_solve(const OrientationSolve& a, const OrientationSolve& b) {
@@ -315,7 +267,8 @@ bool same_solve(const OrientationSolve& a, const OrientationSolve& b) {
 }
 
 /// Stage-B 3D: per-solve latency of the ranked scan (library) and the
-/// reference scan over fitted 3D testbed rounds, interleaved per solve.
+/// oracle's canonical scan over fitted 3D testbed rounds, interleaved per
+/// solve.
 /// Returns false on any bit mismatch between the two.
 bool run_stage_b_3d(std::size_t n_rounds, std::size_t reps,
                     std::vector<double>& ranked_us,
@@ -352,7 +305,7 @@ bool run_stage_b_3d(std::size_t n_rounds, std::size_t reps,
       ranked_us.push_back(
           1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
       t0 = Clock::now();
-      const OrientationSolve reference = reference_orientation_3d(
+      const OrientationSolve reference = testutil::oracle_solve_orientation(
           config.geometry, lines[k], positions[k], config.disentangle);
       reference_us.push_back(
           1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
@@ -378,15 +331,11 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> antenna_counts = {4, 8};
   const std::vector<Mode> modes = {Mode::kUncached, Mode::kCached,
                                    Mode::kPyramid, Mode::kWarm};
-  const std::vector<RankKernel> kernels = {RankKernel::kCanonical,
-                                           RankKernel::kFactoredScalar,
-                                           RankKernel::kFactoredSimd};
   const std::size_t n_targets = quick ? 8 : 24;
   const std::size_t reps = quick ? 4 : 16;
   const std::size_t rank_reps = reps * 4;  // ranking alone is much cheaper
 
-  // The resolved kernel behind the DisentangleConfig default (the mode
-  // sweep runs it): factored, at whatever level dispatch picked.
+  // The library's ranking: factored, at whatever level dispatch picked.
   const bool vectorized = simd::active() >= simd::Level::kAvx2;
   const char* default_kernel =
       vectorized ? "factored-simd" : "factored-scalar";
@@ -399,7 +348,7 @@ int main(int argc, char** argv) {
   double cached_p50_default = 0.0;
   double pyramid_p50_default = 0.0;
   double rank_canonical_p50_default = 0.0;
-  double rank_simd_p50_default = 0.0;
+  double rank_factored_p50_default = 0.0;
 
   std::printf("  %-6s %-9s %-10s %-16s %-10s %-10s %s\n", "grid", "antennas",
               "mode", "kernel", "p50[us]", "p99[us]", "speedup");
@@ -445,24 +394,23 @@ int main(int argc, char** argv) {
       const auto table = cache.acquire(
           geometry, GridSpec{grid, grid, 1, 0.0, 0.0});
       double canonical_p50 = 0.0;
-      for (RankKernel kernel : kernels) {
+      for (const bool canonical : {true, false}) {
         std::vector<double> us;
-        run_rank(geometry, load, *table, kernel, rank_reps, us);
+        run_rank(geometry, load, *table, canonical, rank_reps, us);
         Cell cell;
         cell.grid = grid;
         cell.antennas = antennas;
         cell.mode = "rank";
-        cell.kernel = kernel_name(kernel);
+        cell.kernel = canonical ? "canonical" : default_kernel;
         cell.p50_us = percentile(us, 50.0);
         cell.p99_us = percentile(us, 99.0);
-        if (kernel == RankKernel::kCanonical) canonical_p50 = cell.p50_us;
+        if (canonical) canonical_p50 = cell.p50_us;
         cell.speedup = cell.p50_us > 0.0 ? canonical_p50 / cell.p50_us : 0.0;
         if (grid == 41 && antennas == 4) {
-          if (kernel == RankKernel::kCanonical) {
+          if (canonical) {
             rank_canonical_p50_default = cell.p50_us;
-          }
-          if (kernel == RankKernel::kFactoredSimd) {
-            rank_simd_p50_default = cell.p50_us;
+          } else {
+            rank_factored_p50_default = cell.p50_us;
           }
         }
         cells.push_back(cell);
@@ -525,7 +473,7 @@ int main(int argc, char** argv) {
         cell.grid = batch_grid;
         cell.antennas = batch_antennas;
         cell.mode = batched ? "batch-rank" : "per-tag-rank";
-        cell.kernel = "factored-simd";
+        cell.kernel = default_kernel;
         cell.batch = batch;
         cell.p50_us = percentile(us, 50.0);
         cell.p99_us = percentile(us, 99.0);
@@ -596,8 +544,8 @@ int main(int argc, char** argv) {
     ++failures;
   }
   const double rank_speedup =
-      rank_simd_p50_default > 0.0
-          ? rank_canonical_p50_default / rank_simd_p50_default
+      rank_factored_p50_default > 0.0
+          ? rank_canonical_p50_default / rank_factored_p50_default
           : 0.0;
   std::printf(
       "\n  factored-simd exhaustive ranking: %.2fx canonical p50 at the "

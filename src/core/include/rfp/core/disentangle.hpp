@@ -28,21 +28,6 @@ namespace rfp {
 class GridGeometryCache;
 struct GridTable;
 
-/// Which micro-kernel *ranks* Stage-A grid cells (DESIGN.md "Vectorized
-/// kernels"). Ranking only: whichever kernel orders the cells, the
-/// reported values (position, kt, rms) always come from the canonical
-/// two-pass kernel re-evaluated at the winning candidates — so results
-/// are byte-identical across kernels and dispatch levels.
-enum class RankKernel {
-  kCanonical,       ///< canonical two-pass kernel at every cell (the
-                    ///< legacy cached scan; baseline for benches)
-  kFactoredScalar,  ///< antenna-factored sufficient statistics, scalar FMA
-  kFactoredSimd,    ///< antenna-factored, AVX2-batched over the table's
-                    ///< antenna-major planes; falls back to scalar when
-                    ///< AVX2 is unavailable (cpuid), RFP_FORCE_SCALAR is
-                    ///< set, or the build used -DRFP_DISABLE_SIMD
-};
-
 struct DisentangleConfig {
   /// Stage A multi-start grid resolution over the working region.
   std::size_t grid_nx = 41;
@@ -67,13 +52,6 @@ struct DisentangleConfig {
 
   // ---- Solver acceleration (DESIGN.md "Solver acceleration") -----------
 
-  /// Serve the Stage-A scan from the GridGeometryCache: the per-deployment
-  /// [cell x antenna] distance table is built once and the hot loop
-  /// becomes pure multiply-add over contiguous doubles. Bit-identical to
-  /// the uncached scan (the table stores the exact distance() values and
-  /// the kernel keeps the same accumulation order).
-  bool use_geometry_cache = true;
-
   /// Coarse-to-fine pyramid search: scan a decimated sampling of the fine
   /// grid with a fused single-pass ranking kernel, then re-scan full-
   /// resolution windows around the best coarse cells. Deterministic
@@ -93,9 +71,8 @@ struct DisentangleConfig {
   /// scan only a local window around the hint and LM-refine. Falls back to
   /// the full grid — byte-identical to the cold solve — whenever the
   /// windowed solve's refined RMS exceeds `max_rms` or the hint misses the
-  /// working region.
+  /// working region. A null hint is a cold solve.
   struct WarmStart {
-    bool enable = true;      ///< honor hints when provided
     double window_m = 0.25;  ///< half-width of the hint window [m]
     double max_rms = 2e-9;   ///< fallback threshold on refined RMS [rad/Hz]
   };
@@ -107,28 +84,11 @@ struct DisentangleConfig {
   /// and feed every valid result back in. Off by default — and when off,
   /// every pipeline output is byte-identical to the drift-free build.
   DriftConfig drift;
-
-  /// Stage-A ranking kernel. Applies wherever the cached distance table
-  /// is available (exhaustive scan, pyramid coarse pass, warm-start
-  /// windows); the uncached scan always uses the canonical kernel.
-  /// Results are byte-identical for every choice — see RankKernel.
-  RankKernel rank_kernel = RankKernel::kFactoredSimd;
-
-  /// Tag-batched Stage-A ranking (DESIGN.md "Solver acceleration"): when a
-  /// batch entry point (RfPrism::sense_batch, StreamingSensor's per-poll
-  /// batch) carries >= 2 rounds of one deployment, rank all of them per
-  /// shared pass over the cached distance table (solve_position_batch)
-  /// instead of re-streaming the table per tag. Byte-identical to the
-  /// per-tag path for every kernel and thread count — disable only to
-  /// A/B the amortization (bench_solver does this per run, not via this
-  /// flag). Ignored wherever batching cannot apply (single rounds,
-  /// kCanonical ranking, cache disabled).
-  bool batch_rank = true;
 };
 
 /// Which Stage-A search produced a PositionSolve.
 enum class SolvePath {
-  kExhaustive,  ///< full grid scan (cached or not)
+  kExhaustive,  ///< full grid scan
   kPyramid,     ///< coarse-to-fine pyramid
   kWarmStart,   ///< hint-windowed scan (did not fall back)
 };
@@ -164,21 +124,21 @@ PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config);
 
-/// Workspace-taking overload: all scratch (the flattened SoA snapshot of
-/// the usable lines, LM buffers) lives in `ws`, so repeated solves on a
-/// warmed-up workspace do no heap allocation in the grid scan or the
-/// refinement iterations. With a non-null `pool` the Stage-A grid scan is
-/// fanned out over the pool by row chunks; results are bit-identical to
-/// the sequential scan for any pool size (each cell's cost is computed
-/// independently and the argmin reduction is first-strict-minimum in scan
-/// order).
+/// Workspace-taking overload: a solve_position_batch of one round. All
+/// scratch (the flattened SoA snapshot of the usable lines, LM buffers)
+/// lives in `ws`, so repeated solves on a warmed-up workspace do no heap
+/// allocation in the grid scan or the refinement iterations. With a
+/// non-null `pool` the Stage-A grid scan is fanned out over the pool by
+/// row chunks; results are bit-identical to the sequential scan for any
+/// pool size (the argmin reduction is first-strict-minimum in scan order).
 ///
-/// With a non-null `cache` (and config.use_geometry_cache) the scan runs
-/// over the cached [cell x antenna] distance table instead of recomputing
-/// distances per cell — same bits, ~an order of magnitude less work. With
-/// a non-null `warm_hint` (and config.warm_start.enable) the solve first
-/// tries a local window around the hint and falls back to the full grid
-/// when the refined RMS exceeds config.warm_start.max_rms.
+/// The scan runs over the [cell x antenna] distance table of `cache`
+/// (GridGeometryCache::shared() when null), built once per deployment.
+/// With a non-null `warm_hint` the solve first tries a local window
+/// around the hint and falls back to the full grid when the refined RMS
+/// exceeds config.warm_start.max_rms. Throws InvalidArgument on too few
+/// usable lines, a grid coarser than 2x2, or a line whose antenna index
+/// is out of range.
 PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config,
@@ -195,7 +155,7 @@ PositionSolve solve_position(const DeploymentGeometry& geometry,
 /// The scan ranks every cell with the trig-free rfp::simd kernel at the
 /// simd::active() level and re-scores the possible winners canonically
 /// (DESIGN.md "Stage-B ranked scan"), so the result is byte-identical to
-/// scoring every cell canonically; RankKernel does not apply.
+/// scoring every cell canonically.
 OrientationSolve solve_orientation(const DeploymentGeometry& geometry,
                                    std::span<const AntennaLine> lines,
                                    Vec3 tag_position,
@@ -218,22 +178,17 @@ struct BatchedRankRequest {
 };
 
 /// Tag-batched Stage-A position solve over one pre-acquired distance
-/// table (DisentangleConfig::batch_rank). Every request is solved exactly
-/// as a separate solve_position(geometry, lines, config, ws, pool, cache,
-/// warm_hint) call would solve it — warm windows, pyramid, exhaustive
-/// scan, center fallback and LM refinement included — and `out[i]` is
-/// byte-identical to that call for every kernel, dispatch level and pool
-/// size. What changes is the work shape: cold rounds are ranked tag-major
-/// per shared cell pass (the batched rfp::simd kernels visit each table
-/// row once for the whole batch), and warm/pyramid-fine windows batch
-/// whenever requests land on identical windows.
+/// table — the one Stage-A solver; solve_position is a batch of one.
+/// `out[i]` depends on requests[i] alone and is byte-identical for every
+/// batch composition, dispatch level and pool size. Cold rounds are
+/// ranked tag-major per shared cell pass (the batched rfp::simd kernels
+/// visit each table row once for the whole batch), and warm/pyramid-fine
+/// windows batch whenever requests land on identical windows.
 ///
-/// `solved[i]` is set to 1 when out[i] holds a solve and 0 when the
-/// per-tag call would have thrown (too few usable lines); the batch never
-/// throws per tag. Requires a factored rank kernel (kCanonical has no
-/// tag-major form; callers fall back to per-tag solves), matching spans,
-/// and a table built for this geometry/config — InvalidArgument
-/// otherwise.
+/// `solved[i]` is set to 1 when out[i] holds a solve and 0 when
+/// solve_position would have thrown (too few usable lines, unknown
+/// antenna); the batch never throws per tag. Requires matching spans and
+/// a table built for this geometry/config — InvalidArgument otherwise.
 void solve_position_batch(const DeploymentGeometry& geometry,
                           std::span<const BatchedRankRequest> requests,
                           const DisentangleConfig& config, SolveWorkspace& ws,
@@ -242,42 +197,32 @@ void solve_position_batch(const DeploymentGeometry& geometry,
                           std::span<std::uint8_t> solved);
 
 /// One exhaustive Stage-A *ranking* pass over a cached distance table:
-/// the winning cell under the requested kernel, with its canonical
-/// two-pass cost. Benchmark/diagnostic hook (bench_solver's kernel
-/// dimension, the factored-vs-canonical property tests) — solve_position
-/// runs the same code path internally.
+/// the winning cell with its canonical two-pass cost. Benchmark and test
+/// hook (bench_solver's rank rows, the ranking property tests) —
+/// solve_position runs the same scan internally.
 struct StageARank {
   std::size_t cell = 0;  ///< winning cell (canonical strict-< argmin)
   double rss = 0.0;      ///< canonical two-pass rss at the winner
   double kt = 0.0;       ///< canonical closed-form kt at the winner
   /// Cells the factored ranking re-scored canonically (the margin
-  /// candidates); n_cells() for kCanonical, which scores everything.
+  /// candidates).
   std::size_t candidates = 0;
 };
 
-/// Rank every cell of `table` under `kernel`. The factored kernels
-/// (kFactoredScalar / kFactoredSimd) select the same winner as the
-/// canonical scan: every cell whose factored cost lies within a
-/// conservative rounding margin of the factored minimum is re-scored with
-/// the canonical kernel and the strict-< scan-order argmin of those
-/// candidates is returned. Throws InvalidArgument on fewer than 3 usable
-/// lines or a table/geometry antenna-count mismatch.
-StageARank rank_exhaustive(const DeploymentGeometry& geometry,
-                           std::span<const AntennaLine> lines,
-                           const GridTable& table, RankKernel kernel,
-                           SolveWorkspace& ws);
-
-/// Tag-batched rank_exhaustive: one shared pass over `table` ranks every
-/// request (bench_solver's batch dimension). out[i].cell/rss/kt are
-/// byte-identical to rank_exhaustive on requests[i].lines alone;
-/// out[i].candidates may be larger (the shared pass re-scores margin
-/// candidates against per-pass minima, a superset of the single-tag
-/// candidate set — the canonical argmin is provably inside both). Throws
-/// like rank_exhaustive on any invalid request; warm hints are ignored.
+/// Rank every cell of `table` for each request in one shared pass (a
+/// span of one ranks a single round). The factored ranking selects the
+/// canonical scan's winner: every cell whose factored cost lies within a
+/// conservative rounding margin of the pass minimum is re-scored with the
+/// canonical kernel and the strict-< scan-order argmin of those
+/// candidates is returned. out[i] depends on requests[i] alone except for
+/// `candidates`, which can grow with the batch (pass-local minima). Throws
+/// InvalidArgument on fewer than 3 usable lines in any request, a
+/// table/geometry antenna-count mismatch, or a round with no finite cell
+/// cost; warm hints are ignored.
 void rank_exhaustive_batch(const DeploymentGeometry& geometry,
                            std::span<const BatchedRankRequest> requests,
-                           const GridTable& table, RankKernel kernel,
-                           SolveWorkspace& ws, std::span<StageARank> out);
+                           const GridTable& table, SolveWorkspace& ws,
+                           std::span<StageARank> out);
 
 /// Slope-equation RMS residual at a given position (diagnostic; also the
 /// Stage A cost function). kt is the closed-form optimum at `p`.

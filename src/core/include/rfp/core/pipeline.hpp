@@ -195,12 +195,11 @@ class RfPrism {
   SensingResult finish_round(PreparedRound& prep, const std::string& tag_id,
                              const PositionSolve& pos, SolveWorkspace& ws) const;
 
-  /// Shared body of both public sense_batch overloads. When the config
-  /// allows it (batch_rank, a factored kernel, a cacheable grid) the
-  /// Stage-A grid ranking for all rounds in the batch runs tag-major over
-  /// one shared distance-table pass (solve_position_batch); otherwise each
-  /// round solves independently on the pool as before. Results are
-  /// bit-identical either way.
+  /// Shared body of both public sense_batch overloads. For two or more
+  /// rounds on a non-degenerate grid the Stage-A grid ranking for all
+  /// rounds in the batch runs tag-major over one shared distance-table
+  /// pass (solve_position_batch); otherwise each round solves
+  /// independently on the pool. Results are bit-identical either way.
   std::vector<SensingResult> sense_batch_impl(
       std::span<const RoundTrace> rounds,
       std::span<const std::string> tag_ids, const std::string& shared_tag_id,

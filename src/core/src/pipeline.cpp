@@ -178,15 +178,13 @@ std::vector<SensingResult> RfPrism::sense_batch_impl(
                                                               : nullptr;
   };
 
-  // The tag-major Stage-A pass needs a factored kernel, a shared cached
-  // distance table, and a non-degenerate grid (GridGeometryCache::acquire
-  // throws on degenerate grids, whereas the per-round path converts that
-  // into a per-round kSolverFailure — so degenerate configs must keep the
-  // per-round path). Singletons gain nothing from batching.
-  const bool batched = dc.batch_rank && rounds.size() >= 2 &&
-                       dc.use_geometry_cache &&
-                       dc.rank_kernel != RankKernel::kCanonical &&
-                       dc.grid_nx >= 2 && dc.grid_ny >= 2;
+  // The tag-major Stage-A pass needs a non-degenerate grid
+  // (GridGeometryCache::acquire throws on degenerate grids, whereas the
+  // per-round path converts that into a per-round kSolverFailure — so
+  // degenerate configs must keep the per-round path). Singletons gain
+  // nothing from batching.
+  const bool batched =
+      rounds.size() >= 2 && dc.grid_nx >= 2 && dc.grid_ny >= 2;
   if (!batched) {
     // One round per chunk: per-tag solves are the natural work quantum
     // (~ms each), and every chunk writes only its own pre-assigned result

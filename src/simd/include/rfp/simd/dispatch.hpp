@@ -9,14 +9,12 @@
 /// at every level, and the solver re-scores its winners canonically), so
 /// dispatch never changes results — only speed.
 ///
-/// Overrides, from widest to narrowest scope:
+/// Overrides:
 ///  - build: -DRFP_DISABLE_SIMD=ON compiles the vector kernels out
 ///    entirely (non-x86 hosts, or pinning the fallback under sanitizers);
 ///  - process: RFP_FORCE_SCALAR (any value other than "", "0", "false",
 ///    "off") forces the scalar path; RFP_SIMD_LEVEL=scalar|avx2|avx512
-///    pins a specific level, clamped to what the machine can run;
-///  - call: DisentangleConfig::rank_kernel / the CLI --scalar flag select
-///    the scalar kernels for one solver instance.
+///    pins a specific level, clamped to what the machine can run.
 
 namespace rfp::simd {
 
@@ -46,11 +44,6 @@ Level detected();
 /// variables demand otherwise. Read once per process, like detected().
 Level active();
 
-/// Pure resolution of the RFP_FORCE_SCALAR value against a detected
-/// level — the env-parsing half of the original active(), kept for tests
-/// and composition. `env` is the raw variable value (nullptr = unset).
-Level level_from_env(Level detected_level, const char* env);
-
 /// Full override resolution, exposed for tests: RFP_FORCE_SCALAR (any
 /// truthy value) wins outright; otherwise RFP_SIMD_LEVEL names a level
 /// ("scalar"/"avx2"/"avx512") which is clamped so it never exceeds
@@ -58,11 +51,5 @@ Level level_from_env(Level detected_level, const char* env);
 /// `detected_level`.
 Level resolve_level(Level detected_level, const char* force_scalar_env,
                     const char* simd_level_env);
-
-/// Per-call override hook: the level a solve should use given its
-/// config's force-scalar choice.
-inline Level choose(bool force_scalar) {
-  return force_scalar ? Level::kScalar : active();
-}
 
 }  // namespace rfp::simd

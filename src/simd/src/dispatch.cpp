@@ -60,10 +60,6 @@ bool env_truthy(const char* env) {
 
 }  // namespace
 
-Level level_from_env(Level detected_level, const char* env) {
-  return env_truthy(env) ? Level::kScalar : detected_level;
-}
-
 Level resolve_level(Level detected_level, const char* force_scalar_env,
                     const char* simd_level_env) {
   if (env_truthy(force_scalar_env)) return Level::kScalar;

@@ -73,6 +73,18 @@ inline std::vector<AntennaLine> exact_lines(const DeploymentGeometry& geometry,
   return lines;
 }
 
+/// The lines a sensed result was solved on: result.lines minus the
+/// excluded ports (what the pipeline hands Stage A when drift is off).
+inline std::vector<AntennaLine> solved_lines(const SensingResult& r) {
+  std::vector<AntennaLine> lines;
+  for (const AntennaLine& line : r.lines) {
+    bool excluded = false;
+    for (std::size_t a : r.excluded_antennas) excluded |= a == line.antenna;
+    if (!excluded) lines.push_back(line);
+  }
+  return lines;
+}
+
 /// Collect a round and fit all antennas in one step.
 inline std::vector<AntennaLine> fit_round(const Scene& scene,
                                           const ReaderConfig& reader,

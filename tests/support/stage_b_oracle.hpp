@@ -28,10 +28,12 @@ struct OracleCost {
 };
 
 /// Canonical intercept cost at polarization `w` over ray frames `ray`.
+/// `residual` is caller-owned scratch (resized to the line count), so a
+/// scan of many cells allocates nothing per cell.
 inline OracleCost oracle_intercept_cost(std::span<const OrthoFrame> ray,
                                         std::span<const double> intercept,
-                                        Vec3 w) {
-  std::vector<double> residual(ray.size());
+                                        Vec3 w, std::vector<double>& residual) {
+  residual.resize(ray.size());
   for (std::size_t i = 0; i < ray.size(); ++i) {
     residual[i] = wrap_to_2pi(intercept[i] - polarization_phase(ray[i], w));
   }
@@ -67,8 +69,9 @@ inline OrientationSolve oracle_solve_orientation(
 
   OrientationSolve best;
   double best_rss = std::numeric_limits<double>::infinity();
+  std::vector<double> residual;
   const auto consider = [&](double alpha, Vec3 w) {
-    const OracleCost c = oracle_intercept_cost(ray, intercept, w);
+    const OracleCost c = oracle_intercept_cost(ray, intercept, w, residual);
     if (c.rss < best_rss) {
       best_rss = c.rss;
       best.alpha = alpha;
@@ -100,10 +103,12 @@ inline OrientationSolve oracle_solve_orientation(
       }
       const double m1 = lo + (hi - lo) * 0.382;
       const double m2 = lo + (hi - lo) * 0.618;
-      const double c1 =
-          oracle_intercept_cost(ray, intercept, planar_polarization(m1)).rss;
-      const double c2 =
-          oracle_intercept_cost(ray, intercept, planar_polarization(m2)).rss;
+      const double c1 = oracle_intercept_cost(
+                            ray, intercept, planar_polarization(m1), residual)
+                            .rss;
+      const double c2 = oracle_intercept_cost(
+                            ray, intercept, planar_polarization(m2), residual)
+                            .rss;
       if (c1 < c2) {
         hi = m2;
       } else {
@@ -114,7 +119,7 @@ inline OrientationSolve oracle_solve_orientation(
     best.alpha = alpha >= kPi ? alpha - kPi : alpha;
     best.polarization = planar_polarization(best.alpha);
     const OracleCost c =
-        oracle_intercept_cost(ray, intercept, best.polarization);
+        oracle_intercept_cost(ray, intercept, best.polarization, residual);
     best.bt = c.bt;
     best_rss = c.rss;
   }

@@ -2,10 +2,10 @@
 /// sense_batch over B rounds ranks all tags against one shared cached
 /// distance-table pass (solve_position_batch), and the results must be
 /// byte-identical to sensing each round sequentially — across thread
-/// counts, ranking kernels, faulted corpora spanning full/degraded/
-/// rejected grades, warm-hint mixes, and per-round tag ids. Also covers
-/// the fallbacks (batch_rank off, canonical kernel, singleton batches)
-/// and the hoisted one-acquire-per-batch cache behaviour.
+/// counts, dispatch levels (the simd-labelled runs), faulted corpora
+/// spanning full/degraded/rejected grades, warm-hint mixes, and per-round
+/// tag ids. Also covers singleton batches and the hoisted
+/// one-acquire-per-batch cache behaviour.
 
 #include "rfp/core/pipeline.hpp"
 
@@ -28,6 +28,7 @@
 #include "rfp/rfsim/faults.hpp"
 #include "rfp/rfsim/scene.hpp"
 #include "support/core_test_util.hpp"
+#include "support/stage_a_oracle.hpp"
 
 namespace rfp {
 namespace {
@@ -78,11 +79,8 @@ std::vector<RoundTrace> make_corpus(const Testbed& bed, std::size_t n_clean,
   return corpus;
 }
 
-RfPrism make_variant(const Testbed& bed, RankKernel kernel, bool batch_rank,
-                     bool pyramid = false) {
+RfPrism make_variant(const Testbed& bed, bool pyramid = false) {
   RfPrismConfig config = bed.prism().config();
-  config.disentangle.rank_kernel = kernel;
-  config.disentangle.batch_rank = batch_rank;
   config.disentangle.pyramid.enable = pyramid;
   return bed.make_pipeline_variant(std::move(config));
 }
@@ -98,28 +96,24 @@ TEST(BatchedSense, MatchesSequentialAcrossThreadsAndKernels) {
   const std::vector<RoundTrace> corpus = make_corpus(bed, 4, 8);
 
   bool saw_degraded = false, saw_rejected = false;
-  for (RankKernel kernel :
-       {RankKernel::kFactoredScalar, RankKernel::kFactoredSimd}) {
-    const RfPrism variant = make_variant(bed, kernel, /*batch_rank=*/true);
-    std::vector<SensingResult> reference;
-    for (const RoundTrace& round : corpus) {
-      reference.push_back(variant.sense(round, bed.tag_id()));
-    }
-    for (const SensingResult& r : reference) {
-      saw_degraded |= r.grade == SensingGrade::kDegraded;
-      saw_rejected |= r.grade == SensingGrade::kRejected;
-    }
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      SensingEngine engine(threads);
-      const std::vector<SensingResult> batch =
-          variant.sense_batch(corpus, engine, bed.tag_id());
-      ASSERT_EQ(batch.size(), reference.size());
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        expect_identical(batch[k], reference[k],
-                         "kernel=" + std::to_string(static_cast<int>(kernel)) +
-                             " threads=" + std::to_string(threads) +
-                             " round " + std::to_string(k));
-      }
+  const RfPrism& prism = bed.prism();
+  std::vector<SensingResult> reference;
+  for (const RoundTrace& round : corpus) {
+    reference.push_back(prism.sense(round, bed.tag_id()));
+  }
+  for (const SensingResult& r : reference) {
+    saw_degraded |= r.grade == SensingGrade::kDegraded;
+    saw_rejected |= r.grade == SensingGrade::kRejected;
+  }
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    SensingEngine engine(threads);
+    const std::vector<SensingResult> batch =
+        prism.sense_batch(corpus, engine, bed.tag_id());
+    ASSERT_EQ(batch.size(), reference.size());
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      expect_identical(batch[k], reference[k],
+                       "threads=" + std::to_string(threads) + " round " +
+                           std::to_string(k));
     }
   }
   EXPECT_TRUE(saw_degraded) << "corpus never hit the degraded path; weak test";
@@ -131,8 +125,7 @@ TEST(BatchedSense, PyramidBatchMatchesSequentialPyramid) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 3, 5, 0xF1E);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd,
-                                       /*batch_rank=*/true, /*pyramid=*/true);
+  const RfPrism variant = make_variant(bed, /*pyramid=*/true);
   std::vector<SensingResult> reference;
   for (const RoundTrace& round : corpus) {
     reference.push_back(variant.sense(round, bed.tag_id()));
@@ -149,44 +142,12 @@ TEST(BatchedSense, PyramidBatchMatchesSequentialPyramid) {
   }
 }
 
-TEST(BatchedSense, BatchRankOffMatchesBatchRankOn) {
-  // The flag only changes the execution schedule, never the doubles.
-  TestbedConfig config;
-  config.n_antennas = 4;
-  Testbed bed(config);
-  const std::vector<RoundTrace> corpus = make_corpus(bed, 3, 5, 0x0FF);
-  const RfPrism on = make_variant(bed, RankKernel::kFactoredSimd, true);
-  const RfPrism off = make_variant(bed, RankKernel::kFactoredSimd, false);
-  SensingEngine engine(4);
-  const auto a = on.sense_batch(corpus, engine, bed.tag_id());
-  const auto b = off.sense_batch(corpus, engine, bed.tag_id());
-  for (std::size_t k = 0; k < corpus.size(); ++k) {
-    expect_identical(a[k], b[k], "round " + std::to_string(k));
-  }
-}
-
-TEST(BatchedSense, CanonicalKernelFallsBackPerRound) {
-  // kCanonical has no tag-major form; sense_batch must quietly take the
-  // per-round path and still match sequential sensing.
-  TestbedConfig config;
-  config.n_antennas = 4;
-  Testbed bed(config);
-  const std::vector<RoundTrace> corpus = make_corpus(bed, 2, 3, 0xCA0);
-  const RfPrism canonical = make_variant(bed, RankKernel::kCanonical, true);
-  SensingEngine engine(2);
-  const auto batch = canonical.sense_batch(corpus, engine, bed.tag_id());
-  for (std::size_t k = 0; k < corpus.size(); ++k) {
-    expect_identical(batch[k], canonical.sense(corpus[k], bed.tag_id()),
-                     "round " + std::to_string(k));
-  }
-}
-
 TEST(BatchedSense, SingletonBatchMatchesSingleSense) {
   TestbedConfig config;
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 1, 0, 0x001);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd, true);
+  const RfPrism variant = make_variant(bed);
   SensingEngine engine(2);
   const auto batch = variant.sense_batch(corpus, engine, bed.tag_id());
   ASSERT_EQ(batch.size(), 1u);
@@ -201,7 +162,7 @@ TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 5, 3, 0x3A3);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd, true);
+  const RfPrism variant = make_variant(bed);
 
   // First pass: learn positions to hint with.
   std::vector<SensingResult> cold;
@@ -244,7 +205,7 @@ TEST(BatchedSense, PerRoundTagIdsApplyCalibrationsIndividually) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 4, 0, 0x7A6);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd, true);
+  const RfPrism variant = make_variant(bed);
   // Alternate calibrated / uncalibrated ids: kt/bt/material compensation
   // differs between them, so cross-tag mixups would show.
   std::vector<std::string> tag_ids;
@@ -266,7 +227,7 @@ TEST(BatchedSense, BatchAcquiresTableOnce) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 6, 0, 0x0CE);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd, true);
+  const RfPrism variant = make_variant(bed);
   SensingEngine engine(2);
   (void)variant.sense_batch(corpus, engine, bed.tag_id());
   const GridGeometryCache::Stats after = engine.geometry_cache().stats();
@@ -286,7 +247,6 @@ TEST(BatchedSolve, SolvePositionBatchMatchesPerTag) {
   const Scene scene = make_scene_2d(77);
   const DeploymentGeometry geometry = exact_geometry(scene);
   DisentangleConfig config;
-  config.rank_kernel = RankKernel::kFactoredSimd;
   SolveWorkspace ws;
   GridGeometryCache cache;
   const std::size_t nz = config.grid_nz > 1 ? config.grid_nz : 1;
@@ -372,24 +332,27 @@ TEST(BatchedSolve, RankExhaustiveBatchMatchesPerTagRank) {
                                     planar_polarization(rng.uniform(0.0, kPi)),
                                     1e-9, 0.5));
   }
-  for (RankKernel kernel :
-       {RankKernel::kFactoredScalar, RankKernel::kFactoredSimd}) {
-    SCOPED_TRACE(static_cast<int>(kernel));
-    std::vector<BatchedRankRequest> requests;
-    for (const auto& lines : all_lines) {
-      requests.push_back(BatchedRankRequest{lines, nullptr});
-    }
-    std::vector<StageARank> out(requests.size());
-    rank_exhaustive_batch(geometry, requests, *table, kernel, ws, out);
-    for (std::size_t b = 0; b < requests.size(); ++b) {
-      const StageARank single =
-          rank_exhaustive(geometry, all_lines[b], *table, kernel, ws);
-      // The winner is margin-exact; candidate counts may differ (the
-      // batch re-scores pass-local supersets) but never shrink.
-      EXPECT_EQ(out[b].cell, single.cell) << "tag " << b;
-      EXPECT_EQ(out[b].rss, single.rss) << "tag " << b;
-      EXPECT_EQ(out[b].kt, single.kt) << "tag " << b;
-    }
+  std::vector<BatchedRankRequest> requests;
+  for (const auto& lines : all_lines) {
+    requests.push_back(BatchedRankRequest{lines, nullptr});
+  }
+  std::vector<StageARank> out(requests.size());
+  rank_exhaustive_batch(geometry, requests, *table, ws, out);
+  for (std::size_t b = 0; b < requests.size(); ++b) {
+    StageARank single;
+    rank_exhaustive_batch(geometry, {&requests[b], 1}, *table, ws,
+                          {&single, 1});
+    const StageARank canonical =
+        testutil::oracle_rank_exhaustive(geometry, all_lines[b], *table, ws);
+    // The winner is margin-exact; candidate counts may differ (the batch
+    // re-scores pass-local supersets) but never shrink.
+    EXPECT_EQ(out[b].cell, single.cell) << "tag " << b;
+    EXPECT_EQ(out[b].rss, single.rss) << "tag " << b;
+    EXPECT_EQ(out[b].kt, single.kt) << "tag " << b;
+    EXPECT_GE(out[b].candidates, single.candidates) << "tag " << b;
+    EXPECT_EQ(out[b].cell, canonical.cell) << "tag " << b;
+    EXPECT_EQ(out[b].rss, canonical.rss) << "tag " << b;
+    EXPECT_EQ(out[b].kt, canonical.kt) << "tag " << b;
   }
 }
 

@@ -88,16 +88,15 @@ TEST(DeploymentRegistry, GraftKeepsServerSolverSettings) {
   const Testbed& b = bed_for_seed(7);
 
   RfPrismConfig base = a.prism().config();
-  base.disentangle.rank_kernel = RankKernel::kFactoredScalar;
+  base.disentangle.warm_start.window_m = 0.1;
   base.disentangle.pyramid.enable = true;
-  const RfPrism scalar_prism = a.make_pipeline_variant(std::move(base));
+  const RfPrism server_prism = a.make_pipeline_variant(std::move(base));
 
   DeploymentRegistry registry(8);
-  registry.set_default(scalar_prism);
+  registry.set_default(server_prism);
   const auto tenant = registry.acquire(b.prism().config().geometry,
                                        b.prism().calibrations());
-  EXPECT_EQ(tenant->prism().config().disentangle.rank_kernel,
-            RankKernel::kFactoredScalar);
+  EXPECT_EQ(tenant->prism().config().disentangle.warm_start.window_m, 0.1);
   EXPECT_TRUE(tenant->prism().config().disentangle.pyramid.enable);
   EXPECT_EQ(tenant->prism().config().geometry.n_antennas(),
             b.prism().config().geometry.n_antennas());

@@ -7,7 +7,7 @@
 /// drifted ports and never on a drift-free corpus, ports beyond the
 /// correctable bound fall into the degraded subset-solve path, and with
 /// drift disabled every output stays byte-identical to the drift-free
-/// pipeline across thread counts and ranking kernels.
+/// pipeline across thread counts and dispatch levels.
 
 #include "rfp/core/drift.hpp"
 
@@ -525,23 +525,6 @@ TEST_F(DriftTest, DriftOffIsByteIdenticalAcrossThreadsAndKernels) {
       expect_identical(batch[k], plain.sense(corpus[k], bed_->tag_id()),
                        "threads " + std::to_string(threads) + ", round " +
                            std::to_string(k));
-    }
-  }
-
-  // Ranking kernels: scalar and SIMD factored variants with drift config
-  // present (and off at the snapshot level) match the canonical kernel.
-  for (const RankKernel kernel :
-       {RankKernel::kFactoredScalar, RankKernel::kFactoredSimd}) {
-    RfPrismConfig config = bed_->prism().config();
-    config.disentangle.rank_kernel = kernel;
-    config.disentangle.drift.enable = true;
-    const RfPrism variant = bed_->make_pipeline_variant(std::move(config));
-    for (std::size_t k = 0; k < corpus.size(); ++k) {
-      expect_identical(
-          variant.sense(corpus[k], bed_->tag_id(), nullptr, &inactive),
-          plain.sense(corpus[k], bed_->tag_id()),
-          "kernel " + std::to_string(static_cast<int>(kernel)) + ", round " +
-              std::to_string(k));
     }
   }
 }

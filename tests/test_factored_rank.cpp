@@ -1,10 +1,11 @@
-/// Randomized equivalence of the factored ranking kernels with the
-/// canonical cached scan (ctest label: simd). The margin-exact two-pass
-/// contract (DESIGN.md "Vectorized kernels") promises the *same winning
-/// cell* with *bit-identical* canonical cost for every RankKernel — this
-/// suite hammers that over thousands of random rounds: random geometries,
-/// degraded antenna subsets, duplicated antennas (multi-line rounds),
-/// slope outliers, and NaN-poisoned lines.
+/// Randomized equivalence of the factored Stage-A ranking with the
+/// canonical scan of every cell (tests/support/stage_a_oracle.hpp; ctest
+/// label: simd, so it runs at every dispatch level). The margin-exact
+/// two-pass contract (DESIGN.md "Vectorized kernels") promises the *same
+/// winning cell* with *bit-identical* canonical cost — this suite hammers
+/// that over thousands of random rounds: random geometries, degraded
+/// antenna subsets, duplicated antennas (multi-line rounds), slope
+/// outliers, and NaN-poisoned lines.
 
 #include "rfp/core/disentangle.hpp"
 
@@ -20,6 +21,7 @@
 #include "rfp/common/rng.hpp"
 #include "rfp/common/workspace.hpp"
 #include "rfp/core/grid_cache.hpp"
+#include "support/stage_a_oracle.hpp"
 
 namespace rfp {
 namespace {
@@ -107,6 +109,16 @@ std::vector<Deployment> make_deployments(GridGeometryCache& cache) {
   return out;
 }
 
+/// The library's ranking of one round: a batch of one.
+StageARank rank_one(const DeploymentGeometry& geometry,
+                    const std::vector<AntennaLine>& lines,
+                    const GridTable& table, SolveWorkspace& ws) {
+  const BatchedRankRequest request{lines, nullptr};
+  StageARank out;
+  rank_exhaustive_batch(geometry, {&request, 1}, table, ws, {&out, 1});
+  return out;
+}
+
 void expect_same_rank(const StageARank& canonical, const StageARank& factored,
                       std::size_t n_cells, const std::string& where) {
   SCOPED_TRACE(where);
@@ -137,18 +149,12 @@ TEST(FactoredRank, MatchesCanonicalOverRandomRounds) {
     const Deployment& dep = deployments[round % deployments.size()];
     const auto lines = random_lines(rng, dep.geometry, knobs);
     if (usable_count(lines) < 3) continue;  // solver precondition
-    const StageARank canonical = rank_exhaustive(
-        dep.geometry, lines, *dep.table, RankKernel::kCanonical, ws);
-    const StageARank scalar = rank_exhaustive(
-        dep.geometry, lines, *dep.table, RankKernel::kFactoredScalar, ws);
-    const StageARank simd = rank_exhaustive(
-        dep.geometry, lines, *dep.table, RankKernel::kFactoredSimd, ws);
-    const std::string where = "round " + std::to_string(round);
-    expect_same_rank(canonical, scalar, dep.table->n_cells(),
-                     where + " scalar");
-    expect_same_rank(canonical, simd, dep.table->n_cells(), where + " simd");
-    max_candidates = std::max(max_candidates,
-                              std::max(scalar.candidates, simd.candidates));
+    const StageARank canonical = testutil::oracle_rank_exhaustive(
+        dep.geometry, lines, *dep.table, ws);
+    const StageARank factored = rank_one(dep.geometry, lines, *dep.table, ws);
+    expect_same_rank(canonical, factored, dep.table->n_cells(),
+                     "round " + std::to_string(round));
+    max_candidates = std::max(max_candidates, factored.candidates);
     ++ranked;
     if (HasFailure()) break;  // one detailed round beats 10k cascades
   }
@@ -178,15 +184,14 @@ TEST(FactoredRank, SingleAntennaRoundsStillAgree) {
     lines.push_back(line);
   }
   const StageARank canonical =
-      rank_exhaustive(geometry, lines, *table, RankKernel::kCanonical, ws);
-  const StageARank simd =
-      rank_exhaustive(geometry, lines, *table, RankKernel::kFactoredSimd, ws);
-  expect_same_rank(canonical, simd, table->n_cells(), "single antenna");
+      testutil::oracle_rank_exhaustive(geometry, lines, *table, ws);
+  const StageARank factored = rank_one(geometry, lines, *table, ws);
+  expect_same_rank(canonical, factored, table->n_cells(), "single antenna");
 }
 
 TEST(FactoredRank, NaNPoisonedRoundsThrowForEveryKernel) {
   // A NaN slope poisons every cell's cost in the canonical scan; the
-  // factored kernels must reach the same no-finite-cell conclusion, not
+  // factored ranking must reach the same no-finite-cell conclusion, not
   // pick an arbitrary winner.
   GridGeometryCache cache;
   SolveWorkspace ws;
@@ -198,13 +203,9 @@ TEST(FactoredRank, NaNPoisonedRoundsThrowForEveryKernel) {
   const auto lines = random_lines(rng, geometry, knobs);
   ASSERT_GE(usable_count(lines), 3u);
   ASSERT_TRUE(any_usable_nan(lines));
-  for (RankKernel kernel :
-       {RankKernel::kCanonical, RankKernel::kFactoredScalar,
-        RankKernel::kFactoredSimd}) {
-    EXPECT_THROW(rank_exhaustive(geometry, lines, *table, kernel, ws),
-                 InvalidArgument)
-        << "kernel " << static_cast<int>(kernel);
-  }
+  EXPECT_THROW(testutil::oracle_rank_exhaustive(geometry, lines, *table, ws),
+               InvalidArgument);
+  EXPECT_THROW(rank_one(geometry, lines, *table, ws), InvalidArgument);
 }
 
 TEST(FactoredRank, RejectsTooFewLinesAndMismatchedTable) {
@@ -217,15 +218,11 @@ TEST(FactoredRank, RejectsTooFewLinesAndMismatchedTable) {
   CorpusKnobs clean;
   const auto lines = random_lines(rng, geometry, clean);
   const std::vector<AntennaLine> two(lines.begin(), lines.begin() + 2);
-  EXPECT_THROW(rank_exhaustive(geometry, two, *table,
-                               RankKernel::kFactoredSimd, ws),
-               InvalidArgument);
+  EXPECT_THROW(rank_one(geometry, two, *table, ws), InvalidArgument);
 
   const DeploymentGeometry other = random_geometry(rng, 6);
   const auto other_table = cache.acquire(other, GridSpec{21, 21, 1, 0.0, 0.0});
-  EXPECT_THROW(rank_exhaustive(geometry, lines, *other_table,
-                               RankKernel::kFactoredSimd, ws),
-               InvalidArgument);
+  EXPECT_THROW(rank_one(geometry, lines, *other_table, ws), InvalidArgument);
 }
 
 }  // namespace

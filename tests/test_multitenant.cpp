@@ -2,7 +2,7 @@
 /// their own deployments, and every tenant's responses must be
 /// byte-identical to a single-tenant baseline solved locally with the
 /// same grafted pipeline — across engine thread counts, reactor counts,
-/// rank kernels, and faulted/degraded rounds. Also: streaming sessions
+/// Stage-A search modes, and faulted/degraded rounds. Also: streaming sessions
 /// vs a local StreamingSensor, session replay on reconnect, registry
 /// exhaustion over the wire, per-tenant drift, and a session
 /// setup/teardown fuzz loop for the sanitizer jobs.
@@ -135,12 +135,10 @@ void require_grade_spread(const RfPrism& prism,
 /// hammered concurrently, every response compared byte-for-byte against
 /// its single-tenant baseline.
 void run_isolation_sweep(std::size_t engine_threads, std::size_t reactors,
-                         bool scalar_kernel) {
+                         bool pyramid) {
   const Testbed& bed_a = default_bed();
   RfPrismConfig server_config_prism = bed_a.prism().config();
-  if (scalar_kernel) {
-    server_config_prism.disentangle.rank_kernel = RankKernel::kFactoredScalar;
-  }
+  server_config_prism.disentangle.pyramid.enable = pyramid;
   const RfPrism server_prism =
       bed_a.make_pipeline_variant(std::move(server_config_prism));
 
@@ -233,22 +231,22 @@ void run_isolation_sweep(std::size_t engine_threads, std::size_t reactors,
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalSingleThread) {
   run_isolation_sweep(/*engine_threads=*/1, /*reactors=*/1,
-                      /*scalar_kernel=*/false);
+                      /*pyramid=*/false);
 }
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalTwoThreadsTwoReactors) {
   run_isolation_sweep(/*engine_threads=*/2, /*reactors=*/2,
-                      /*scalar_kernel=*/false);
+                      /*pyramid=*/false);
 }
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalEightThreads) {
   run_isolation_sweep(/*engine_threads=*/8, /*reactors=*/2,
-                      /*scalar_kernel=*/false);
+                      /*pyramid=*/false);
 }
 
-TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalScalarKernel) {
+TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalPyramid) {
   run_isolation_sweep(/*engine_threads=*/2, /*reactors=*/1,
-                      /*scalar_kernel=*/true);
+                      /*pyramid=*/true);
 }
 
 TEST(MultiTenant, FaultedCorpusSpansGrades) {

@@ -111,23 +111,6 @@ TEST(SimdDispatch, DetectedNeverExceedsCompiledSupport) {
   EXPECT_TRUE(active() <= detected());
 }
 
-TEST(SimdDispatch, LevelFromEnvParsesOverride) {
-  // Unset / explicit "no" spellings pass the detected level through.
-  for (const char* off : {static_cast<const char*>(nullptr), "", "0", "false",
-                          "off"}) {
-    EXPECT_EQ(level_from_env(Level::kAvx2, off), Level::kAvx2)
-        << "value: " << (off ? off : "<unset>");
-    EXPECT_EQ(level_from_env(Level::kScalar, off), Level::kScalar);
-  }
-  // Anything else demands the scalar path.
-  for (const char* on : {"1", "true", "yes", "scalar", "anything"}) {
-    EXPECT_EQ(level_from_env(Level::kAvx2, on), Level::kScalar)
-        << "value: " << on;
-  }
-  // Forcing scalar on a scalar-only machine is a no-op, not an error.
-  EXPECT_EQ(level_from_env(Level::kScalar, "1"), Level::kScalar);
-}
-
 TEST(SimdDispatch, ActiveHonorsForceScalarEnvironment) {
   // active() is pinned at first use; it must equal re-resolving the
   // current environment (the variables cannot have changed under a test
@@ -163,11 +146,20 @@ TEST(SimdDispatch, ResolveLevelParsesSimdLevelOverride) {
   EXPECT_EQ(resolve_level(Level::kAvx512, "0", "avx2"), Level::kAvx2);
   EXPECT_EQ(resolve_level(Level::kAvx512, "false", nullptr), Level::kAvx512);
   EXPECT_EQ(resolve_level(Level::kAvx512, "off", nullptr), Level::kAvx512);
-}
-
-TEST(SimdDispatch, ChooseForcesScalarPerCall) {
-  EXPECT_EQ(choose(true), Level::kScalar);
-  EXPECT_EQ(choose(false), active());
+  // RFP_FORCE_SCALAR alone: unset / explicit "no" spellings pass the
+  // detected level through, anything else demands the scalar path.
+  for (const char* off : {static_cast<const char*>(nullptr), "", "0", "false",
+                          "off"}) {
+    EXPECT_EQ(resolve_level(Level::kAvx2, off, nullptr), Level::kAvx2)
+        << "value: " << (off ? off : "<unset>");
+    EXPECT_EQ(resolve_level(Level::kScalar, off, nullptr), Level::kScalar);
+  }
+  for (const char* on : {"1", "true", "yes", "scalar", "anything"}) {
+    EXPECT_EQ(resolve_level(Level::kAvx2, on, nullptr), Level::kScalar)
+        << "value: " << on;
+  }
+  // Forcing scalar on a scalar-only machine is a no-op, not an error.
+  EXPECT_EQ(resolve_level(Level::kScalar, "1", nullptr), Level::kScalar);
 }
 
 // ---------------------------------------------------------------------------

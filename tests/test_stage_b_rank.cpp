@@ -389,6 +389,7 @@ TEST(StageBKernel, Atan2PolyWithinStatedError) {
 }
 
 TEST(StageBKernel, SurrogateWithinMarginAtEveryLevel) {
+  std::vector<double> residual;
   for (const simd::Level level : runnable_levels()) {
     SCOPED_TRACE(simd::name(level));
     Rng rng(mix_seed(17, static_cast<std::uint64_t>(level)));
@@ -408,7 +409,8 @@ TEST(StageBKernel, SurrogateWithinMarginAtEveryLevel) {
           ++safe;
           want_min = std::min(want_min, rank[k]);
           const double canonical =
-              oracle_intercept_cost(kc.frames, kc.intercept, w[k]).rss;
+              oracle_intercept_cost(kc.frames, kc.intercept, w[k], residual)
+                  .rss;
           const double diff = std::abs(rank[k] - canonical);
           ASSERT_LE(diff, margin) << "n=" << n << " cell " << k;
           worst_share = std::max(worst_share, diff / margin);
@@ -428,6 +430,7 @@ TEST(StageBKernel, SkippedCellsCostMoreThanTheLimit) {
   // at safe cells: their canonical cost must then exceed
   // skip_above − margin (the cost lower bound 2(n − |Z|) cleared it).
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> residual;
   for (const simd::Level level : runnable_levels()) {
     SCOPED_TRACE(simd::name(level));
     Rng rng(mix_seed(31, static_cast<std::uint64_t>(level)));
@@ -443,7 +446,7 @@ TEST(StageBKernel, SkippedCellsCostMoreThanTheLimit) {
       for (std::size_t k = 0; k < w.size(); ++k) {
         if (rank[k] == -kInf) continue;
         const double canonical =
-            oracle_intercept_cost(kc.frames, kc.intercept, w[k]).rss;
+            oracle_intercept_cost(kc.frames, kc.intercept, w[k], residual).rss;
         if (rank[k] == kInf) {
           ++skipped;
           EXPECT_GT(canonical, skip_above - margin) << "cell " << k;

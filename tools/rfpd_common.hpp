@@ -42,9 +42,6 @@ struct DaemonOptions {
   /// class); 0 keeps the BufferPoolConfig default.
   std::size_t pool_buffers = 0;
   bool pyramid = false;           ///< coarse-to-fine Stage-A search
-  bool uncached = false;          ///< disable the geometry cache
-  bool scalar = false;            ///< scalar factored ranking (no SIMD)
-  bool batch_rank = true;         ///< tag-batched Stage-A over one table pass
   bool drift = false;             ///< online drift self-calibration
   bool track = false;             ///< grant per-session trajectory tracking
   /// Serve a surveyed deployment from files instead of the seed-keyed
@@ -77,12 +74,7 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
   // Solver-mode variant (same geometry + calibration; only the Stage-A
   // search strategy differs — see DESIGN.md "Solver acceleration").
   RfPrismConfig prism_config = bed.prism().config();
-  prism_config.disentangle.use_geometry_cache = !options.uncached;
   prism_config.disentangle.pyramid.enable = options.pyramid;
-  if (options.scalar) {
-    prism_config.disentangle.rank_kernel = RankKernel::kFactoredScalar;
-  }
-  prism_config.disentangle.batch_rank = options.batch_rank;
   prism_config.disentangle.drift.enable = options.drift;
 
   // Default deployment: the seed-keyed testbed, unless survey /
@@ -133,7 +125,7 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
 
   if (file_deployment) {
     std::printf("%s: deployment from %s%s%s, %zu antennas, "
-                "%zu worker thread(s), %zu reactor(s), solver %s%s%s%s\n",
+                "%zu worker thread(s), %zu reactor(s), solver %s\n",
                 name,
                 options.geometry_path.empty() ? "seed geometry"
                                               : options.geometry_path.c_str(),
@@ -141,19 +133,13 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
                 options.calibration_path.c_str(),
                 prism.config().geometry.n_antennas(), engine.n_threads(),
                 server_config.reactors,
-                options.uncached ? "uncached" : "cached",
-                options.pyramid ? "+pyramid" : "",
-                options.scalar ? "+scalar" : "",
-                options.batch_rank ? "" : "+no-batch-rank");
+                options.pyramid ? "pyramid" : "exhaustive");
   } else {
     std::printf("%s: deployment seed %llu, %zu antennas, "
-                "%zu worker thread(s), %zu reactor(s), solver %s%s%s%s\n",
+                "%zu worker thread(s), %zu reactor(s), solver %s\n",
                 name, static_cast<unsigned long long>(options.seed),
                 options.antennas, engine.n_threads(), server_config.reactors,
-                options.uncached ? "uncached" : "cached",
-                options.pyramid ? "+pyramid" : "",
-                options.scalar ? "+scalar" : "",
-                options.batch_rank ? "" : "+no-batch-rank");
+                options.pyramid ? "pyramid" : "exhaustive");
   }
   if (options.drift) {
     std::printf("%s: drift self-calibration enabled\n", name);

@@ -12,8 +12,7 @@
 ///        [--max-conns N] [--max-pending N] [--max-tenants N]
 ///        [--pool-buffers N]
 ///        [--geometry FILE] [--calibration FILE]
-///        [--pyramid] [--uncached] [--scalar] [--no-batch-rank]
-///        [--drift] [--track]
+///        [--pyramid] [--drift] [--track]
 ///
 /// --port 0 binds an ephemeral port; the actual port is printed on the
 /// "listening on" line (scripts parse it there). --reactors runs N
@@ -41,8 +40,7 @@ int usage() {
                "            [--max-conns N] [--max-pending N]\n"
                "            [--max-tenants N] [--pool-buffers N]\n"
                "            [--geometry FILE]\n"
-               "            [--calibration FILE] [--pyramid] [--uncached]\n"
-               "            [--scalar] [--no-batch-rank] [--drift]\n"
+               "            [--calibration FILE] [--pyramid] [--drift]\n"
                "            [--track]\n");
   return 2;
 }
@@ -91,14 +89,6 @@ int main(int argc, char** argv) {
         options.calibration_path = next();
       } else if (arg == "--pyramid") {
         options.pyramid = true;
-      } else if (arg == "--uncached") {
-        options.uncached = true;
-      } else if (arg == "--scalar") {
-        options.scalar = true;
-      } else if (arg == "--no-batch-rank") {
-        options.batch_rank = false;
-      } else if (arg == "--batch-rank") {
-        options.batch_rank = true;
       } else if (arg == "--drift") {
         options.drift = true;
       } else if (arg == "--track") {
