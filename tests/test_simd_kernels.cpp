@@ -146,6 +146,9 @@ TEST(SimdDispatch, ResolveLevelParsesSimdLevelOverride) {
   EXPECT_EQ(resolve_level(Level::kAvx512, "0", "avx2"), Level::kAvx2);
   EXPECT_EQ(resolve_level(Level::kAvx512, "false", nullptr), Level::kAvx512);
   EXPECT_EQ(resolve_level(Level::kAvx512, "off", nullptr), Level::kAvx512);
+}
+
+TEST(SimdDispatch, LevelFromEnvParsesOverride) {
   // RFP_FORCE_SCALAR alone: unset / explicit "no" spellings pass the
   // detected level through, anything else demands the scalar path.
   for (const char* off : {static_cast<const char*>(nullptr), "", "0", "false",
