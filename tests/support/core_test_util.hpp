@@ -14,6 +14,7 @@
 #include "rfp/core/preprocess.hpp"
 #include "rfp/core/types.hpp"
 #include "rfp/geom/frame.hpp"
+#include "rfp/rfsim/faults.hpp"
 #include "rfp/rfsim/reader.hpp"
 
 namespace rfp::testutil {
@@ -83,6 +84,21 @@ inline std::vector<AntennaLine> solved_lines(const SensingResult& r) {
     if (!excluded) lines.push_back(line);
   }
   return lines;
+}
+
+/// The linear-drift fault profile: deployment time 10 s/round, both
+/// channels ramping. Across a 48-round loop the slope offsets reach
+/// ~1e-8 rad/Hz (~0.25 m of ranging bias on the worst port) and the
+/// intercepts ~0.2 rad: big enough to visibly damage poses, small enough
+/// to stay inside the estimator's correctable bounds. Pass the round's
+/// index within the loop as the injector's trial (drift is evaluated at
+/// trial * 10 s).
+inline FaultProfile linear_drift_profile() {
+  FaultProfile profile;
+  profile.drift_round_period_s = 10.0;
+  profile.slope_drift_rate = 2e-11;
+  profile.intercept_drift_rate = 4e-4;
+  return profile;
 }
 
 /// Collect a round and fit all antennas in one step.

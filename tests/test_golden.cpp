@@ -1,7 +1,8 @@
 /// Golden corpus: fixed-seed rounds from the simulated testbed, sensed
 /// through every Stage-A route (cold exhaustive, pool-fanned, warm-start
-/// hit and fallback, pyramid, batched, 3-D) and through the degraded,
-/// rejected and NaN-poisoned paths. Every numeric SensingResult field and
+/// hit and fallback, pyramid, batched, 3-D), through the degraded,
+/// rejected and NaN-poisoned paths, and through drift-corrected sequences
+/// whose estimator is fed in emission order. Every numeric SensingResult field and
 /// every PositionSolve field (path and cells_scanned included) is written
 /// as the 64-bit pattern of the double, and the test asserts that the
 /// freshly computed corpus equals the checked-in file byte for byte.
@@ -34,6 +35,7 @@
 #include "rfp/common/thread_pool.hpp"
 #include "rfp/common/workspace.hpp"
 #include "rfp/core/disentangle.hpp"
+#include "rfp/core/drift.hpp"
 #include "rfp/core/engine.hpp"
 #include "rfp/core/grid_cache.hpp"
 #include "rfp/exp/testbed.hpp"
@@ -154,6 +156,8 @@ struct Coverage {
   std::size_t warm_fallbacks = 0;
   std::size_t pyramid = 0;
   std::size_t mode_3d = 0;
+  std::size_t drift_corrected = 0;  ///< sensed with active corrections
+  std::size_t drift_dropped = 0;    ///< ... and a port past the bound
 };
 
 class CorpusWriter {
@@ -162,10 +166,14 @@ class CorpusWriter {
 
   /// One sensed round plus, for valid results, the direct Stage-A solve
   /// of the lines the pipeline solved on (same config and hint), which
-  /// pins PositionSolve::path and cells_scanned.
+  /// pins PositionSolve::path and cells_scanned. A round sensed with a
+  /// drift snapshot also records the snapshot, and its direct solve sees
+  /// the corrected lines, as the pipeline's did.
   void sensed(const std::string& name, const RfPrism& prism,
-              const SensingResult& r, const Vec3* hint) {
+              const SensingResult& r, const Vec3* hint,
+              const DriftCorrections* drift = nullptr) {
     header(name);
+    if (drift != nullptr) write_drift(*drift);
     write_result(out_, r);
     ++cov_.rounds;
     cov_.degraded += r.grade == SensingGrade::kDegraded ? 1 : 0;
@@ -175,8 +183,13 @@ class CorpusWriter {
       Record(out_).key("solve").key("none").end();
       return;
     }
-    // Drift is off throughout the corpus.
-    const std::vector<AntennaLine> lines = testutil::solved_lines(r);
+    std::vector<AntennaLine> lines = testutil::solved_lines(r);
+    if (drift != nullptr && drift->active) {
+      for (AntennaLine& line : lines) {
+        line.fit.slope -= drift->slope[line.antenna];
+        line.fit.intercept -= drift->intercept[line.antenna];
+      }
+    }
     const PositionSolve s =
         solve_position(prism.config().geometry, lines,
                        prism.config().disentangle, ws_, nullptr, &cache_, hint);
@@ -204,6 +217,19 @@ class CorpusWriter {
 
  private:
   void header(const std::string& name) { out_ += "round " + name + "\n"; }
+
+  void write_drift(const DriftCorrections& d) {
+    Record rec(out_);
+    rec.key("drift").count(d.active ? 1 : 0);
+    for (std::size_t a = 0; a < d.slope.size(); ++a) {
+      rec.num(d.slope[a]).num(d.intercept[a]).count(d.drop[a] ? 1 : 0);
+    }
+    rec.end();
+    cov_.drift_corrected += d.active ? 1 : 0;
+    bool dropped = false;
+    for (bool drop : d.drop) dropped |= drop;
+    cov_.drift_dropped += d.active && dropped ? 1 : 0;
+  }
 
   void note(const PositionSolve& s, const Vec3* hint) {
     cov_.pyramid += s.path == SolvePath::kPyramid ? 1 : 0;
@@ -445,6 +471,35 @@ std::string build_corpus(Coverage& cov) {
       w.threw("few_lines2d/cold");
     }
   }
+
+  // ---- Drift on: linear LO/cable drift, estimator fed in emission order -
+  // The second run tightens the correctable bound so that, once warmed
+  // up, a port is dropped into the degraded subset path.
+  for (const double max_correct_intercept : {1.2, 0.05}) {
+    TestbedConfig config;
+    config.seed = 13;
+    config.n_antennas = 4;
+    Testbed bed(config);
+    RfPrismConfig pc = bed.prism().config();
+    pc.disentangle.drift.enable = true;
+    pc.disentangle.drift.max_correct_intercept = max_correct_intercept;
+    const RfPrism prism = bed.make_pipeline_variant(pc);
+    DriftEstimator estimator(4, pc.disentangle.drift);
+    const FaultInjector injector(testutil::linear_drift_profile());
+    const std::string run = max_correct_intercept < 1.0 ? "drift_drop2d/"
+                                                        : "drift2d/";
+    Rng rng(mix_seed(0x601D, 6));
+    for (std::size_t k = 0; k < 16; ++k) {
+      const TagState state = random_state(bed, rng, k);
+      const RoundTrace round =
+          injector.apply(bed.collect(state, 9600 + k), k);
+      const DriftCorrections snapshot = estimator.corrections();
+      const SensingResult r =
+          prism.sense(round, bed.tag_id(), nullptr, &snapshot);
+      w.sensed(run + std::to_string(k), prism, r, nullptr, &snapshot);
+      estimator.observe(r, prism.config().geometry);
+    }
+  }
   return out;
 }
 
@@ -467,6 +522,8 @@ TEST(GoldenCorpus, MatchesCheckedInFileByteForByte) {
   EXPECT_GE(cov.warm_fallbacks, 2u);
   EXPECT_GE(cov.pyramid, 4u);
   EXPECT_GE(cov.mode_3d, 5u);
+  EXPECT_GE(cov.drift_corrected, 8u);
+  EXPECT_GE(cov.drift_dropped, 1u);
 
   if (g_regenerate) {
     std::ofstream file(RFP_GOLDEN_FILE, std::ios::binary | std::ios::trunc);
