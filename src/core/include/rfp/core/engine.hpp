@@ -3,14 +3,10 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "rfp/common/thread_pool.hpp"
 #include "rfp/common/workspace.hpp"
-#include "rfp/core/drift.hpp"
 #include "rfp/core/grid_cache.hpp"
 
 /// \file engine.hpp
@@ -18,7 +14,10 @@
 /// plus one SolveWorkspace per thread that can touch the solve path. An
 /// engine is the unit a deployment shares across pipelines, streaming
 /// sensors, and CLI batch jobs — construct it once, size it to the
-/// machine, and pass it wherever rounds need to be solved.
+/// machine, and pass it wherever rounds need to be solved. It holds no
+/// deployment state: a drift estimator belongs to the deployment that
+/// drifts (DeploymentTenant for served requests, StreamingSensor for a
+/// stream), so one engine serves any number of sites.
 ///
 /// Determinism guarantee: everything executed through an engine
 /// (RfPrism::sense_batch, the pool-fanned grid scan) is bit-identical to
@@ -61,44 +60,10 @@ class SensingEngine {
   /// (bit-identical) tables.
   GridGeometryCache& geometry_cache() { return geometry_cache_; }
 
-  // ---- Deployment-level drift self-calibration (drift.hpp) -------------
-  // The engine is the natural owner for serving: every request routed
-  // through it (rfpd's workers, CLI batch jobs) shares one estimator.
-  // Mutex-guarded because observe/corrections race across worker threads;
-  // callers snapshot corrections by value before the solve.
-
-  /// Install (or replace) the engine's drift estimator. Throws
-  /// InvalidArgument on a zero antenna count or invalid config.
-  void enable_drift(std::size_t n_antennas, DriftConfig config = {});
-
-  bool drift_enabled() const;
-
-  /// Value snapshot of the current corrections; inactive (all-zero) when
-  /// drift is not enabled or the estimator has not warmed up.
-  DriftCorrections drift_corrections() const;
-
-  /// Feed a completed round back into the estimator. No-op when drift is
-  /// not enabled. Rounds read from a reference transponder at a known
-  /// pose pass it as `reference` for fully-observable residuals (see
-  /// DriftEstimator::observe).
-  void observe_drift(const SensingResult& result,
-                     const DeploymentGeometry& geometry,
-                     const ReferencePose* reference = nullptr);
-
-  DriftStats drift_stats() const;
-  std::vector<ReSurveyAlarm> drift_alarms() const;
-
-  /// Access the estimator under the engine's lock (serialization, tests).
-  /// `fn` must not re-enter the engine's drift API. No-op when drift is
-  /// not enabled.
-  void with_drift(const std::function<void(DriftEstimator&)>& fn);
-
  private:
   ThreadPool pool_;
   std::deque<SolveWorkspace> workspaces_;  // n_threads + 1, stable refs
   GridGeometryCache geometry_cache_;
-  mutable std::mutex drift_mutex_;
-  std::optional<DriftEstimator> drift_;
 };
 
 }  // namespace rfp

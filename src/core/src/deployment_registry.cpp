@@ -76,33 +76,36 @@ std::vector<std::uint8_t> key_material(const DeploymentGeometry& geometry,
 
 }  // namespace
 
-bool DeploymentTenant::drift_enabled() const {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
-  return drift_.has_value();
+void DeploymentTenant::bind_prism(const RfPrism& prism) {
+  prism_ = &prism;
+  const RfPrismConfig& config = prism.config();
+  if (config.disentangle.drift.enable) {
+    drift_.emplace(config.geometry.n_antennas(), config.disentangle.drift);
+  }
 }
 
 DriftCorrections DeploymentTenant::drift_corrections() const {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
   if (!drift_.has_value()) return {};
+  const std::lock_guard<std::mutex> lock(drift_mutex_);
   return drift_->corrections();
 }
 
 void DeploymentTenant::observe_drift(const SensingResult& result,
                                      const ReferencePose* reference) {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
   if (!drift_.has_value()) return;
+  const std::lock_guard<std::mutex> lock(drift_mutex_);
   drift_->observe(result, prism_->config().geometry, reference);
 }
 
 DriftStats DeploymentTenant::drift_stats() const {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
   if (!drift_.has_value()) return {};
+  const std::lock_guard<std::mutex> lock(drift_mutex_);
   return drift_->stats();
 }
 
 std::vector<ReSurveyAlarm> DeploymentTenant::drift_alarms() const {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
   if (!drift_.has_value()) return {};
+  const std::lock_guard<std::mutex> lock(drift_mutex_);
   return drift_->alarms();
 }
 
@@ -134,7 +137,7 @@ std::shared_ptr<DeploymentTenant> DeploymentRegistry::set_default(
       key_material(prism.config().geometry, prism.calibrations());
   tenant->digest_ = fnv1a(tenant->key_bytes_);
   tenant->is_default_ = true;
-  tenant->prism_ = &prism;
+  tenant->bind_prism(prism);
   default_tenant_ = tenant;
   base_config_ = prism.config();
   has_default_ = true;
@@ -191,17 +194,9 @@ std::shared_ptr<DeploymentTenant> DeploymentRegistry::acquire(
   auto tenant = std::shared_ptr<DeploymentTenant>(new DeploymentTenant());
   tenant->owned_prism_ = std::make_unique<RfPrism>(std::move(config));
   tenant->owned_prism_->import_calibrations(calibrations);
-  tenant->prism_ = tenant->owned_prism_.get();
+  tenant->bind_prism(*tenant->owned_prism_);
   tenant->digest_ = digest;
   tenant->key_bytes_ = std::move(key);
-  if (enable_drift) {
-    // The server's base DriftConfig carries the tuning knobs but its
-    // enable flag reflects the --drift CLI switch; a session asking for
-    // drift must get a live estimator regardless.
-    DriftConfig drift_config = base_config_.disentangle.drift;
-    drift_config.enable = true;
-    tenant->drift_.emplace(geometry.n_antennas(), drift_config);
-  }
   tenants_[digest] = tenant;
   insertion_order_.push_back(digest);
   return tenant;

@@ -657,9 +657,7 @@ class Server::Reactor {
       ready.digest = conn.tenant->digest();
       ready.n_antennas = static_cast<std::uint32_t>(
           conn.tenant->prism().config().geometry.n_antennas());
-      ready.drift_enabled = conn.tenant->is_default()
-                                ? server_.engine_.drift_enabled()
-                                : conn.tenant->drift_enabled();
+      ready.drift_enabled = conn.tenant->drift_enabled();
       ready.tracking_enabled = conn.tracking;
       PooledBuffer buf = pool_.acquire();
       ByteWriter w(buf.storage());
@@ -792,29 +790,14 @@ class Server::Reactor {
       // responses straight into the owning reactor's pooled buffers.
       PooledBuffer bytes = pool_.acquire();
       try {
-        const RfPrism& prism = tenant->prism();
-        // Port-health gating is deployment-specific: the monitor the
-        // server was built with only speaks for the default deployment.
-        const AntennaHealthMonitor* health =
-            tenant->is_default() ? server_.health_ : nullptr;
-        SensingResult result;
-        if (tenant->is_default() && engine().drift_enabled()) {
-          // Snapshot corrections before the solve, feed the result back
-          // after: the engine owns the default deployment's estimator
-          // (rfpd --drift predates tenancy), so every connection's
-          // rounds advance one shared drift estimate.
-          const DriftCorrections corrections = engine().drift_corrections();
-          result = prism.sense(round, engine(), tag_id, health, &corrections);
-          engine().observe_drift(result, prism.config().geometry);
-        } else if (tenant->drift_enabled()) {
-          // Session tenants own their estimator: same snapshot-then-
-          // observe contract, scoped to the tenant.
-          const DriftCorrections corrections = tenant->drift_corrections();
-          result = prism.sense(round, engine(), tag_id, health, &corrections);
-          tenant->observe_drift(result);
-        } else {
-          result = prism.sense(round, engine(), tag_id, health);
-        }
+        // Snapshot the tenant's drift corrections before the solve and
+        // feed the result back after, so every connection's rounds
+        // advance the tenant's one estimate. Without an estimator the
+        // snapshot is empty (inactive) and observing is a no-op.
+        const DriftCorrections corrections = tenant->drift_corrections();
+        const SensingResult result = tenant->prism().sense(
+            round, engine(), tag_id, nullptr, &corrections);
+        tenant->observe_drift(result);
         ByteWriter w(bytes.storage());
         const std::size_t f = begin_frame(w, FrameType::kSenseResponse, seq);
         encode_sense_response_into(w, result);
@@ -972,8 +955,8 @@ class Server::Reactor {
 };
 
 Server::Server(const RfPrism& prism, SensingEngine& engine,
-               ServerConfig config, const AntennaHealthMonitor* health)
-    : prism_(prism), engine_(engine), health_(health),
+               ServerConfig config)
+    : prism_(prism), engine_(engine),
       config_(std::move(config)),
       registry_(config_.max_tenants) {
   if (config_.reactors == 0) config_.reactors = 1;
@@ -1057,14 +1040,6 @@ void Server::request_stop() noexcept {
 ServerStats Server::stats() const {
   ServerStats out;
   for (const auto& reactor : reactors_) reactor->add_to(out);
-  if (engine_.drift_enabled()) {
-    const DriftStats drift = engine_.drift_stats();
-    out.drift_rounds_observed = drift.rounds_observed;
-    out.drift_outliers_rejected = drift.outliers_rejected;
-    out.drift_alarms_raised = drift.alarms_raised;
-    out.drift_alarms_active = drift.alarms_active;
-    out.drift_ports_dropped = drift.ports_dropped;
-  }
   out.tenants_resident = registry_.size();
   out.tenants_evicted = registry_.evictions();
   return out;

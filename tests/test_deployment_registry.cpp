@@ -1,6 +1,7 @@
 /// DeploymentRegistry: digest identity, tenant sharing, solver-settings
-/// grafting, FIFO eviction of unpinned tenants, capacity exhaustion, and
-/// the stats snapshot ordering operators rely on.
+/// grafting, FIFO eviction of unpinned tenants, capacity exhaustion,
+/// which tenants own a drift estimator, and the stats snapshot ordering
+/// operators rely on.
 
 #include "rfp/core/deployment_registry.hpp"
 
@@ -191,6 +192,28 @@ TEST(DeploymentRegistry, PerTenantDriftIsIndependent) {
                                       /*enable_drift=*/false);
   EXPECT_EQ(again.get(), tenant.get());
   EXPECT_TRUE(again->drift_enabled());
+}
+
+TEST(DeploymentRegistry, DriftEnabledDefaultOwnsAnEstimator) {
+  // The default tenant follows the session rule: an estimator iff its
+  // prism's config enables drift, and sessions that ask for drift on a
+  // drift-enabled server get their own.
+  const Testbed& a = bed_for_seed(42);
+  const Testbed& b = bed_for_seed(7);
+  RfPrismConfig config = a.prism().config();
+  config.disentangle.drift.enable = true;
+  const RfPrism prism = a.make_pipeline_variant(std::move(config));
+  DeploymentRegistry registry(8);
+  const auto def = registry.set_default(prism);
+  EXPECT_TRUE(def->drift_enabled());
+  EXPECT_FALSE(def->drift_corrections().active);  // not warmed up
+  EXPECT_TRUE(registry.stats().front().drift_enabled);
+
+  const auto plain = registry.acquire(b.prism().config().geometry,
+                                      b.prism().calibrations(),
+                                      /*enable_drift=*/false);
+  EXPECT_FALSE(plain->drift_enabled());
+  EXPECT_FALSE(plain->prism().config().disentangle.drift.enable);
 }
 
 TEST(DeploymentRegistry, StatsSnapshotPutsDefaultFirst) {

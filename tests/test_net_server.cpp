@@ -510,9 +510,6 @@ TEST(NetServer, DriftEnabledServerObservesAndReportsStats) {
   const RfPrism prism = bed.make_pipeline_variant(std::move(prism_config));
 
   SensingEngine engine(2);
-  engine.enable_drift(prism.config().geometry.n_antennas(),
-                      prism.config().disentangle.drift);
-
   Server server(prism, engine);
   server.start();
 
@@ -528,13 +525,17 @@ TEST(NetServer, DriftEnabledServerObservesAndReportsStats) {
   }
 
   server.stop();
-  const net::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests_completed, kRounds);
-  EXPECT_EQ(stats.drift_rounds_observed, kRounds);
-  EXPECT_EQ(stats.drift_alarms_raised, 0u);
-  EXPECT_EQ(stats.drift_alarms_active, 0u);
-  EXPECT_EQ(stats.drift_ports_dropped, 0u);
-  EXPECT_TRUE(engine.drift_corrections().active);  // past warm-up
+  EXPECT_EQ(server.stats().requests_completed, kRounds);
+  const std::vector<TenantStats> tenants = server.tenant_stats();
+  ASSERT_EQ(tenants.size(), 1u);
+  const TenantStats& stats = tenants.front();
+  EXPECT_TRUE(stats.is_default);
+  EXPECT_TRUE(stats.drift_enabled);
+  EXPECT_EQ(stats.drift.rounds_observed, kRounds);
+  EXPECT_EQ(stats.drift.alarms_raised, 0u);
+  EXPECT_EQ(stats.drift.alarms_active, 0u);
+  EXPECT_EQ(stats.drift.ports_dropped, 0u);
+  EXPECT_TRUE(stats.drift.warmed_up);  // past warm-up
 }
 
 TEST(NetServer, OlderVersionPeerGetsGoodbyeEncodedAtItsVersion) {
