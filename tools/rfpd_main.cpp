@@ -24,9 +24,8 @@
 /// response.
 
 #include <cstdio>
-#include <cstring>
 #include <exception>
-#include <string>
+#include <stdexcept>
 
 #include "rfpd_common.hpp"
 
@@ -50,53 +49,8 @@ int usage() {
 int main(int argc, char** argv) {
   rfp::tools::DaemonOptions options;
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-          throw std::invalid_argument(arg);
-        }
-        return argv[++i];
-      };
-      if (arg == "--port") {
-        options.port = static_cast<std::uint16_t>(std::stoul(next()));
-      } else if (arg == "--bind") {
-        options.bind = next();
-      } else if (arg == "--threads") {
-        options.threads = std::stoull(next());
-      } else if (arg == "--reactors") {
-        options.reactors = std::stoull(next());
-      } else if (arg == "--seed") {
-        options.seed = std::stoull(next());
-      } else if (arg == "--antennas") {
-        options.antennas = std::stoull(next());
-      } else if (arg == "--multipath") {
-        options.multipath = true;
-      } else if (arg == "--idle-timeout") {
-        options.idle_timeout_s = std::stod(next());
-      } else if (arg == "--max-conns") {
-        options.max_connections = std::stoull(next());
-      } else if (arg == "--max-pending") {
-        options.max_pending = std::stoull(next());
-      } else if (arg == "--max-tenants") {
-        options.max_tenants = std::stoull(next());
-      } else if (arg == "--pool-buffers") {
-        options.pool_buffers = std::stoull(next());
-      } else if (arg == "--geometry") {
-        options.geometry_path = next();
-      } else if (arg == "--calibration") {
-        options.calibration_path = next();
-      } else if (arg == "--pyramid") {
-        options.pyramid = true;
-      } else if (arg == "--drift") {
-        options.drift = true;
-      } else if (arg == "--track") {
-        options.track = true;
-      } else {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        return usage();
-      }
+    if (!rfp::tools::parse_daemon_options(argc, argv, 1, options)) {
+      return usage();
     }
   } catch (const std::invalid_argument&) {
     return usage();

@@ -95,8 +95,8 @@ int usage() {
                "  rfprism serve [--port N] [--bind ADDR] [--threads N]\n"
                "                [--reactors N] [--seed S] [--antennas N]\n"
                "                [--multipath] [--idle-timeout SEC]\n"
-               "                [--max-conns N] [--max-tenants N]\n"
-               "                [--pool-buffers N]\n"
+               "                [--max-conns N] [--max-pending N]\n"
+               "                [--max-tenants N] [--pool-buffers N]\n"
                "                [--geometry FILE] [--calibration FILE]\n"
                "                [--pyramid] [--drift] [--track]\n"
                "  rfprism request [--host H] [--port N] [--trace FILE]\n"
@@ -1059,51 +1059,8 @@ int main(int argc, char** argv) {
 
     if (command == "serve") {
       tools::DaemonOptions options;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-          if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-            throw UsageError();
-          }
-          return argv[++i];
-        };
-        if (arg == "--port") {
-          options.port = static_cast<std::uint16_t>(std::stoul(next()));
-        } else if (arg == "--bind") {
-          options.bind = next();
-        } else if (arg == "--threads") {
-          options.threads = std::stoull(next());
-        } else if (arg == "--reactors") {
-          options.reactors = std::stoull(next());
-        } else if (arg == "--seed") {
-          options.seed = std::stoull(next());
-        } else if (arg == "--antennas") {
-          options.antennas = std::stoull(next());
-        } else if (arg == "--multipath") {
-          options.multipath = true;
-        } else if (arg == "--idle-timeout") {
-          options.idle_timeout_s = std::stod(next());
-        } else if (arg == "--max-conns") {
-          options.max_connections = std::stoull(next());
-        } else if (arg == "--max-tenants") {
-          options.max_tenants = std::stoull(next());
-        } else if (arg == "--pool-buffers") {
-          options.pool_buffers = std::stoull(next());
-        } else if (arg == "--geometry") {
-          options.geometry_path = next();
-        } else if (arg == "--calibration") {
-          options.calibration_path = next();
-        } else if (arg == "--pyramid") {
-          options.pyramid = true;
-        } else if (arg == "--drift") {
-          options.drift = true;
-        } else if (arg == "--track") {
-          options.track = true;
-        } else {
-          std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-          return usage();
-        }
+      if (!tools::parse_daemon_options(argc, argv, 2, options)) {
+        return usage();
       }
       return tools::run_daemon("rfprism serve", options);
     }
