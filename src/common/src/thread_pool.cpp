@@ -87,39 +87,44 @@ void ThreadPool::parallel_for(
     return;
   }
 
+  // Everything a chunk needs lives here, on the caller's stack, so each
+  // submitted closure captures only (&join, c): small enough for
+  // std::function's inline buffer, so fanning out allocates nothing per
+  // chunk.
   struct Join {
+    ThreadPool* pool;
+    const std::function<void(std::size_t, std::size_t, std::size_t)>* body;
+    std::size_t n;
+    std::size_t chunk;
     std::mutex mutex;
     std::condition_variable done;
-    std::size_t remaining = 0;
-    std::vector<std::exception_ptr> errors;
-  } join;
-  join.remaining = n_chunks;
-  join.errors.resize(n_chunks);
+    std::size_t remaining;
+    std::exception_ptr error;      ///< first failure in chunk order
+    std::size_t error_chunk = npos;
+  } join{this, &body, n, chunk, {}, {}, n_chunks, {}, npos};
 
   for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, n);
-    submit([this, &body, &join, c, begin, end] {
+    submit([&join, c] {
+      const std::size_t begin = c * join.chunk;
+      const std::size_t end = std::min(begin + join.chunk, join.n);
+      std::exception_ptr error;
       try {
-        body(begin, end, worker_index());
+        (*join.body)(begin, end, join.pool->worker_index());
       } catch (...) {
-        join.errors[c] = std::current_exception();
+        error = std::current_exception();
       }
-      {
-        std::lock_guard<std::mutex> lock(join.mutex);
-        --join.remaining;
-        if (join.remaining == 0) join.done.notify_all();
+      std::lock_guard<std::mutex> lock(join.mutex);
+      if (error && c < join.error_chunk) {
+        join.error = std::move(error);
+        join.error_chunk = c;
       }
+      if (--join.remaining == 0) join.done.notify_all();
     });
   }
 
-  {
-    std::unique_lock<std::mutex> lock(join.mutex);
-    join.done.wait(lock, [&join] { return join.remaining == 0; });
-  }
-  for (std::exception_ptr& error : join.errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  std::unique_lock<std::mutex> lock(join.mutex);
+  join.done.wait(lock, [&join] { return join.remaining == 0; });
+  if (join.error) std::rethrow_exception(join.error);
 }
 
 }  // namespace rfp
