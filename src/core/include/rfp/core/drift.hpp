@@ -141,10 +141,10 @@ struct DriftStats {
   bool warmed_up = false;              ///< corrections currently active
 };
 
-/// Tracks per-antenna calibration drift across solved rounds. Not
-/// thread-safe by itself: owners that share one across threads
-/// (SensingEngine) serialize access behind their own lock;
-/// StreamingSensor observes in emission order on one thread.
+/// Tracks per-antenna calibration drift across solved rounds. The
+/// deployment owns it. Not thread-safe by itself: owners that share one
+/// across threads (DeploymentTenant) serialize access behind their own
+/// lock; StreamingSensor observes in emission order on one thread.
 class DriftEstimator {
  public:
   /// Throws InvalidArgument on zero antennas or out-of-range tuning.
