@@ -46,9 +46,11 @@ struct AlignedAllocator {
   }
 };
 
-/// 32-byte-aligned vector: one AVX2 register per row start. Used by the
-/// GridTable's antenna-major distance planes (see rfp/core/grid_cache.hpp).
+/// 64-byte-aligned vector: each row start begins a cache line, so no
+/// 8-double (AVX-512) load of a row-aligned run splits two lines. Used by
+/// the GridTable's antenna-major distance planes (see
+/// rfp/core/grid_cache.hpp).
 template <typename T>
-using AlignedVector = std::vector<T, AlignedAllocator<T, 32>>;
+using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
 
 }  // namespace rfp

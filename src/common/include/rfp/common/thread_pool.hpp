@@ -4,8 +4,11 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 /// \file thread_pool.hpp
@@ -20,6 +23,35 @@
 /// order.
 
 namespace rfp {
+
+template <typename Signature>
+class FunctionRef;
+
+/// Non-owning reference to a callable: an object pointer plus a call
+/// thunk, so binding any lambda never allocates. The referenced callable
+/// must outlive every call through the reference.
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  FunctionRef(F&& f)
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_([](void* object, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(object))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(object_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* object_;
+  R (*call_)(void*, Args...);
+};
 
 /// Fixed pool of worker threads. Construction spawns the workers;
 /// destruction completes every task still queued, then the workers exit
@@ -67,11 +99,12 @@ class ThreadPool {
   ///
   /// The first exception thrown by a body (first in *chunk order*, not
   /// completion order) is rethrown on the calling thread after all chunks
-  /// have finished.
+  /// have finished. `body` is borrowed for the call, never copied, so
+  /// passing a lambda allocates nothing whatever it captures.
   void parallel_for(std::size_t n, std::size_t chunk,
-                    const std::function<void(std::size_t begin,
-                                             std::size_t end,
-                                             std::size_t slot)>& body);
+                    FunctionRef<void(std::size_t begin, std::size_t end,
+                                     std::size_t slot)>
+                        body);
 
  private:
   void worker_loop(std::size_t index);

@@ -62,7 +62,7 @@ void ThreadPool::worker_loop(std::size_t index) {
 
 void ThreadPool::parallel_for(
     std::size_t n, std::size_t chunk,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+    FunctionRef<void(std::size_t, std::size_t, std::size_t)> body) {
   if (n == 0) return;
   chunk = std::max<std::size_t>(chunk, 1);
   const std::size_t n_chunks = (n + chunk - 1) / chunk;
@@ -93,7 +93,7 @@ void ThreadPool::parallel_for(
   // chunk.
   struct Join {
     ThreadPool* pool;
-    const std::function<void(std::size_t, std::size_t, std::size_t)>* body;
+    FunctionRef<void(std::size_t, std::size_t, std::size_t)> body;
     std::size_t n;
     std::size_t chunk;
     std::mutex mutex;
@@ -101,7 +101,7 @@ void ThreadPool::parallel_for(
     std::size_t remaining;
     std::exception_ptr error;      ///< first failure in chunk order
     std::size_t error_chunk = npos;
-  } join{this, &body, n, chunk, {}, {}, n_chunks, {}, npos};
+  } join{this, body, n, chunk, {}, {}, n_chunks, {}, npos};
 
   for (std::size_t c = 0; c < n_chunks; ++c) {
     submit([&join, c] {
@@ -109,7 +109,7 @@ void ThreadPool::parallel_for(
       const std::size_t end = std::min(begin + join.chunk, join.n);
       std::exception_ptr error;
       try {
-        (*join.body)(begin, end, join.pool->worker_index());
+        join.body(begin, end, join.pool->worker_index());
       } catch (...) {
         error = std::current_exception();
       }

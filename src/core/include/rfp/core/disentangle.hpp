@@ -52,20 +52,6 @@ struct DisentangleConfig {
 
   // ---- Solver acceleration (DESIGN.md "Solver acceleration") -----------
 
-  /// Coarse-to-fine pyramid search: scan a decimated sampling of the fine
-  /// grid with a fused single-pass ranking kernel, then re-scan full-
-  /// resolution windows around the best coarse cells. Deterministic
-  /// scan-order argmin, reproducible across thread counts; lands within
-  /// one fine cell of the exhaustive scan on smooth slope-residual
-  /// surfaces (validated per test scene, not guaranteed adversarially).
-  struct Pyramid {
-    bool enable = false;
-    std::size_t decimation = 4;     ///< coarse stride in fine cells (>= 2)
-    std::size_t top_k = 3;          ///< coarse candidates refined at full res
-    std::size_t refine_radius = 0;  ///< fine half-window; 0 = decimation + 1
-  };
-  Pyramid pyramid;
-
   /// Warm start: when the caller passes a position hint (solve_position's
   /// `warm_hint`, RfPrism::sense_warm, StreamingConfig::enable_warm_start),
   /// scan only a local window around the hint and LM-refine. Falls back to
@@ -87,11 +73,11 @@ struct DisentangleConfig {
   DriftConfig drift;
 };
 
-/// Which Stage-A search produced a PositionSolve.
+/// Which Stage-A search produced a PositionSolve. The values are fixed:
+/// the golden corpus records them as integers.
 enum class SolvePath {
-  kExhaustive,  ///< full grid scan
-  kPyramid,     ///< coarse-to-fine pyramid
-  kWarmStart,   ///< hint-windowed scan (did not fall back)
+  kExhaustive = 0,  ///< full grid scan
+  kWarmStart = 2,   ///< hint-windowed scan (did not fall back)
 };
 
 /// Stage A output: position and material slope from the slope equations.
@@ -183,7 +169,7 @@ struct BatchedRankRequest {
 /// `out[i]` depends on requests[i] alone and is byte-identical for every
 /// batch composition, dispatch level and pool size. Cold rounds are
 /// ranked tag-major per shared cell pass (the batched rfp::simd kernels
-/// visit each table row once for the whole batch), and warm/pyramid-fine
+/// visit each table row once for the whole batch), and warm-start
 /// windows batch whenever requests land on identical windows.
 ///
 /// `solved[i]` is set to 1 when out[i] holds a solve and 0 when

@@ -65,7 +65,7 @@ struct GridTable {
   /// Antenna-major transposed mirror of `dist` for the batched ranking
   /// kernels (rfp::simd): dist_t[a * cell_stride + cell] ==
   /// dist[cell * n_antennas + a]. cell_stride pads n_cells() up to a
-  /// multiple of 8 (one AVX2 kernel iteration) and the storage is 32-byte
+  /// multiple of 8 (one AVX2 kernel iteration) and the storage is 64-byte
   /// aligned; the padded tail repeats the last real cell's distances
   /// (finite, never reported — scans stop at n_cells()).
   AlignedVector<double> dist_t;

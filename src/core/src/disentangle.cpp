@@ -9,7 +9,6 @@
 #include <mutex>
 #include <span>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "rfp/common/angles.hpp"
@@ -629,16 +628,14 @@ void window_scan(const RoundSnapshot* const* snaps,
   }
 }
 
-/// One tag's window in a grouping pass. Sorted by (key, tag, rank), equal
-/// keys form one shared window_scan whose members stay in ascending
-/// (tag, rank) order.
+/// One tag's window in a grouping pass. Sorted by (key, tag), equal keys
+/// form one shared window_scan whose members stay in ascending tag order.
 struct WindowMember {
   WindowKey key;
   std::size_t tag = 0;
-  std::size_t rank = 0;  ///< pyramid candidate rank (0 for warm windows)
 
   bool operator<(const WindowMember& o) const {
-    return std::tie(key, tag, rank) < std::tie(o.key, o.tag, o.rank);
+    return std::tie(key, tag) < std::tie(o.key, o.tag);
   }
 };
 
@@ -680,121 +677,6 @@ void scan_window_groups(WindowGroups& g, const RoundSnapshot* const* snaps,
       found(g.members[first + j], g.bests[j], window_cells(key));
     }
     first = last;
-  }
-}
-
-/// Strided coarse sampling of one fine axis: 0, s, 2s, ... plus the last
-/// index (the region edges must stay reachable at the coarse level).
-void coarse_axis(std::size_t n, std::size_t stride,
-                 std::vector<std::size_t>& out) {
-  out.clear();
-  for (std::size_t i = 0; i < n; i += stride) out.push_back(i);
-  if (out.back() != n - 1) out.push_back(n - 1);
-}
-
-/// Reused storage of pyramid_scan.
-struct PyramidScratch {
-  std::vector<std::size_t> xs, ys, zs;
-  /// Per tag, top_k slots of (coarse rank, cell), ascending; top_count
-  /// of them are filled.
-  std::vector<std::pair<double, std::size_t>> tops;
-  std::vector<std::size_t> top_count;
-  std::vector<GridBest> fine;  ///< per (tag, candidate rank)
-};
-
-/// Coarse-to-fine pyramid scan. The coarse pass ranks a strided sampling
-/// of the fine grid — whole x-rows through the ranking kernel, only the
-/// strided entries consumed and counted — keeping each tag's top-K cells
-/// (ties broken by cell index). Full-resolution windows around every
-/// candidate then go through window_scan, windows identical across tags
-/// scanned once, and each tag's window winners are merged strict-< in its
-/// candidate order, so overlapping windows cannot change the winner.
-/// Coarse ranking is approximate by design; everything reported comes
-/// from the fine pass's canonical re-scoring.
-void pyramid_scan(const RoundSnapshot* const* snaps,
-                  const simd::FactoredStats* stats, const double* margins,
-                  std::size_t n_tags, const GridTable& table,
-                  const DisentangleConfig& config, simd::Level level,
-                  PyramidScratch& ps, WindowGroups& groups, GridBest* bests,
-                  std::size_t* cells_scanned) {
-  const std::size_t nx = table.spec.nx;
-  const std::size_t ny = table.spec.ny;
-  const std::size_t nz = table.spec.nz;
-  const std::size_t stride =
-      std::max<std::size_t>(config.pyramid.decimation, 2);
-  const std::size_t top_k = std::max<std::size_t>(config.pyramid.top_k, 1);
-  const std::size_t radius = config.pyramid.refine_radius > 0
-                                 ? config.pyramid.refine_radius
-                                 : stride + 1;
-  coarse_axis(nx, stride, ps.xs);
-  coarse_axis(ny, stride, ps.ys);
-  coarse_axis(nz, nz > 1 ? stride : 1, ps.zs);
-
-  // ---- Coarse pass: one batched full-row ranking per sampled row -------
-  BatchRankArena& arena = local_batch_arena();
-  ps.tops.resize(n_tags * top_k);
-  ps.top_count.assign(n_tags, 0);
-  for (std::size_t iz : ps.zs) {
-    for (std::size_t iy : ps.ys) {
-      const std::size_t row0 = (iz * ny + iy) * nx;
-      arena.reserve(n_tags, nx);
-      simd::factored_rss_run_batch(level, stats, n_tags, table.dist_t.data(),
-                                   table.cell_stride, row0, row0 + nx,
-                                   arena.outs.data(), arena.mins.data());
-      for (std::size_t b = 0; b < n_tags; ++b) {
-        auto* top = ps.tops.data() + b * top_k;
-        std::size_t& filled = ps.top_count[b];
-        for (std::size_t ix : ps.xs) {
-          const std::pair<double, std::size_t> cand{arena.outs[b][ix],
-                                                    row0 + ix};
-          ++cells_scanned[b];
-          if (filled < top_k || cand < top[filled - 1]) {
-            // Sorted insert; a full list drops its last entry.
-            const std::size_t pos = static_cast<std::size_t>(
-                std::lower_bound(top, top + filled, cand) - top);
-            const std::size_t end = filled < top_k ? filled : top_k - 1;
-            std::move_backward(top + pos, top + end, top + end + 1);
-            top[pos] = cand;
-            if (filled < top_k) ++filled;
-          }
-        }
-      }
-    }
-  }
-
-  // ---- Fine pass: identical windows batch across tags ------------------
-  groups.members.clear();
-  for (std::size_t b = 0; b < n_tags; ++b) {
-    for (std::size_t r = 0; r < ps.top_count[b]; ++r) {
-      const std::size_t cell = ps.tops[b * top_k + r].second;
-      const std::size_t cx = cell % nx;
-      const std::size_t cy = (cell / nx) % ny;
-      const std::size_t cz = cell / (nx * ny);
-      groups.members.push_back(WindowMember{
-          WindowKey{cx > radius ? cx - radius : 0,
-                    std::min(cx + radius, nx - 1),
-                    cy > radius ? cy - radius : 0,
-                    std::min(cy + radius, ny - 1),
-                    cz > radius ? cz - radius : 0,
-                    std::min(cz + radius, nz - 1)},
-          b, r});
-    }
-  }
-  ps.fine.assign(n_tags * top_k, GridBest{});
-  scan_window_groups(groups, snaps, stats, margins, table, level,
-                     [&](const WindowMember& m, const GridBest& best,
-                         std::size_t cells) {
-                       ps.fine[m.tag * top_k + m.rank] = best;
-                       cells_scanned[m.tag] += cells;
-                     });
-
-  // Merge per tag in candidate order (the sequential fine-pass order), so
-  // exact-tie resolution between windows is fixed.
-  for (std::size_t b = 0; b < n_tags; ++b) {
-    for (std::size_t r = 0; r < ps.top_count[b]; ++r) {
-      const GridBest& w = ps.fine[b * top_k + r];
-      if (w.any && w.rss < bests[b].rss) bests[b] = w;
-    }
   }
 }
 
@@ -845,17 +727,15 @@ struct BatchScratch {
   std::vector<simd::FactoredStats> sel_stats;
   std::vector<double> sel_margins;
   std::vector<GridBest> bests;
-  std::vector<std::size_t> cells;
   std::vector<GridBest> chunk_slots;
   std::vector<std::size_t> candidates;
   WindowGroups groups;
-  PyramidScratch pyramid;
 };
 
 /// Stage A2: Levenberg-Marquardt refinement of a Stage-A1 winner plus the
-/// final PositionSolve assembly. Shared verbatim by the exhaustive,
-/// pyramid and warm-start paths so they differ only in which grid cells
-/// seed the refinement.
+/// final PositionSolve assembly. Shared verbatim by the exhaustive and
+/// warm-start paths so they differ only in which grid cells seed the
+/// refinement.
 PositionSolve refine_and_finish(const RoundSnapshot& snap,
                                 const DeploymentGeometry& geometry,
                                 const DisentangleConfig& config,
@@ -1050,7 +930,7 @@ void solve_position_batch(const DeploymentGeometry& geometry,
     WindowKey key;
     if (scr.done[b] == 0 && requests[b].warm_hint != nullptr &&
         hint_window(geometry, config, nz, *requests[b].warm_hint, key)) {
-      scr.groups.members.push_back(WindowMember{key, b, 0});
+      scr.groups.members.push_back(WindowMember{key, b});
     }
   }
   scan_window_groups(
@@ -1084,42 +964,32 @@ void solve_position_batch(const DeploymentGeometry& geometry,
   if (scr.pending.empty()) return;
   const std::size_t n_pending = scr.pending.size();
   scr.bests.assign(n_pending, GridBest{});
-  scr.cells.assign(n_pending, 0);
 
-  SolvePath path = SolvePath::kExhaustive;
-  if (config.pyramid.enable) {
-    path = SolvePath::kPyramid;
-    pyramid_scan(scr.sel_snaps.data(), scr.sel_stats.data(),
-                 scr.sel_margins.data(), n_pending, table, config, level,
-                 scr.pyramid, scr.groups, scr.bests.data(), scr.cells.data());
-  } else {
-    scr.cells.assign(n_pending, rows * config.grid_nx);
-    if (pool != nullptr && pool->size() > 1) {
-      // Row chunks fan out over the pool; per-(chunk, tag) bests are
-      // reduced strict-< in chunk order per tag, so the winner is the
-      // sequential scan's for any pool size.
-      const std::size_t chunk =
-          std::max<std::size_t>(1, rows / (4 * pool->size()));
-      const std::size_t n_chunks = (rows + chunk - 1) / chunk;
-      scr.chunk_slots.assign(n_chunks * n_pending, GridBest{});
-      pool->parallel_for(
-          rows, chunk, [&](std::size_t begin, std::size_t end, std::size_t) {
-            exhaustive_scan(scr.sel_snaps.data(), scr.sel_stats.data(),
-                            scr.sel_margins.data(), n_pending, table, level,
-                            begin, end,
-                            scr.chunk_slots.data() + (begin / chunk) * n_pending);
-          });
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        for (std::size_t p = 0; p < n_pending; ++p) {
-          const GridBest& slot = scr.chunk_slots[c * n_pending + p];
-          if (slot.any && slot.rss < scr.bests[p].rss) scr.bests[p] = slot;
-        }
+  if (pool != nullptr && pool->size() > 1) {
+    // Row chunks fan out over the pool; per-(chunk, tag) bests are
+    // reduced strict-< in chunk order per tag, so the winner is the
+    // sequential scan's for any pool size.
+    const std::size_t chunk =
+        std::max<std::size_t>(1, rows / (4 * pool->size()));
+    const std::size_t n_chunks = (rows + chunk - 1) / chunk;
+    scr.chunk_slots.assign(n_chunks * n_pending, GridBest{});
+    pool->parallel_for(
+        rows, chunk, [&](std::size_t begin, std::size_t end, std::size_t) {
+          exhaustive_scan(scr.sel_snaps.data(), scr.sel_stats.data(),
+                          scr.sel_margins.data(), n_pending, table, level,
+                          begin, end,
+                          scr.chunk_slots.data() + (begin / chunk) * n_pending);
+        });
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      for (std::size_t p = 0; p < n_pending; ++p) {
+        const GridBest& slot = scr.chunk_slots[c * n_pending + p];
+        if (slot.any && slot.rss < scr.bests[p].rss) scr.bests[p] = slot;
       }
-    } else {
-      exhaustive_scan(scr.sel_snaps.data(), scr.sel_stats.data(),
-                      scr.sel_margins.data(), n_pending, table, level, 0,
-                      rows, scr.bests.data());
     }
+  } else {
+    exhaustive_scan(scr.sel_snaps.data(), scr.sel_stats.data(),
+                    scr.sel_margins.data(), n_pending, table, level, 0, rows,
+                    scr.bests.data());
   }
 
   for (std::size_t p = 0; p < n_pending; ++p) {
@@ -1135,8 +1005,7 @@ void solve_position_batch(const DeploymentGeometry& geometry,
     }
     PositionSolve solve =
         refine_and_finish(scr.snaps[b], geometry, config, ws, mode_3d, best);
-    solve.path = path;
-    solve.cells_scanned = scr.cells[p];
+    solve.cells_scanned = rows * config.grid_nx;
     out[b] = solve;
   }
 }

@@ -1,6 +1,7 @@
 #include "rfp/core/preprocess.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "rfp/common/error.hpp"
 #include "rfp/dsp/stats.hpp"
@@ -32,7 +33,10 @@ std::vector<AntennaTrace> preprocess_round(const RoundTrace& round) {
   for (const Dwell& dwell : round.dwells) {
     require(dwell.antenna < round.n_antennas,
             "preprocess_round: antenna index out of range");
-    if (dwell.phases.empty()) continue;
+    if (dwell.phases.empty() || !std::isfinite(dwell.frequency_hz) ||
+        dwell.frequency_hz <= 0.0) {
+      continue;
+    }
     ChannelAgg agg;
     agg.phase = aggregate_dwell(dwell.frequency_hz, dwell.phases);
     agg.rssi = dwell.rssi_dbm.empty()
@@ -51,8 +55,8 @@ std::vector<AntennaTrace> preprocess_round(const RoundTrace& round) {
       *it = agg;
     }
   }
-  // aggregate_dwell rejects non-positive and NaN frequencies, so the keys
-  // are distinct and totally ordered.
+  // Only finite, positive frequencies got this far, so the keys are
+  // distinct and totally ordered.
   for (std::vector<ChannelAgg>& entries : per_antenna) {
     std::sort(entries.begin(), entries.end(),
               [](const ChannelAgg& a, const ChannelAgg& b) {

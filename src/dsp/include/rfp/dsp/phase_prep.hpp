@@ -47,10 +47,4 @@ struct UnwrappedTrace {
 /// after sorting (duplicate channels are circular-averaged first).
 UnwrappedTrace unwrap_trace(std::span<const ChannelPhase> channels);
 
-/// Difference-based linearity score of an unwrapped trace: the standard
-/// deviation of the per-step phase increments normalized by frequency step,
-/// i.e. the spread of local slopes [rad/Hz]. Low = consistent with a single
-/// line. Used as a cheap pre-filter before full fitting.
-double local_slope_spread(const UnwrappedTrace& trace);
-
 }  // namespace rfp

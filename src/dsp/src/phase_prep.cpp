@@ -6,7 +6,6 @@
 #include "rfp/common/angles.hpp"
 #include "rfp/common/constants.hpp"
 #include "rfp/common/error.hpp"
-#include "rfp/dsp/stats.hpp"
 
 namespace rfp {
 
@@ -93,20 +92,6 @@ UnwrappedTrace unwrap_trace(std::span<const ChannelPhase> channels) {
 
   trace.phase = unwrap(trace.phase);
   return trace;
-}
-
-double local_slope_spread(const UnwrappedTrace& trace) {
-  const std::size_t n = trace.frequency_hz.size();
-  require(n == trace.phase.size(), "local_slope_spread: size mismatch");
-  if (n < 3) return 0.0;
-  std::vector<double> slopes;
-  slopes.reserve(n - 1);
-  for (std::size_t i = 1; i < n; ++i) {
-    const double df = trace.frequency_hz[i] - trace.frequency_hz[i - 1];
-    if (df <= 0.0) throw InvalidArgument("local_slope_spread: unsorted trace");
-    slopes.push_back((trace.phase[i] - trace.phase[i - 1]) / df);
-  }
-  return stddev(slopes);
 }
 
 }  // namespace rfp

@@ -9,9 +9,8 @@
 /// tried first, and the winner is refined through the public
 /// levenberg_marquardt with the solver's residual. The library's
 /// solve_position must reproduce it bit for bit for every exhaustive and
-/// warm-start solve; the pyramid's coarse pass is approximate by design
-/// and has no oracle here. oracle_rank_exhaustive is the canonical
-/// ranking over a GridTable that rank_exhaustive_batch must match.
+/// warm-start solve. oracle_rank_exhaustive is the canonical ranking over
+/// a GridTable that rank_exhaustive_batch must match.
 
 #include <algorithm>
 #include <cmath>
@@ -190,8 +189,8 @@ inline PositionSolve oracle_refine(StageAOracleScratch& s,
   return solve;
 }
 
-/// The canonical solve_position (exhaustive or warm-start path; ignores
-/// config.pyramid). Same preconditions and InvalidArgument cases.
+/// The canonical solve_position (exhaustive or warm-start path). Same
+/// preconditions and InvalidArgument cases.
 inline PositionSolve oracle_solve_position(const DeploymentGeometry& geometry,
                                            std::span<const AntennaLine> lines,
                                            const DisentangleConfig& config,

@@ -79,12 +79,6 @@ std::vector<RoundTrace> make_corpus(const Testbed& bed, std::size_t n_clean,
   return corpus;
 }
 
-RfPrism make_variant(const Testbed& bed, bool pyramid = false) {
-  RfPrismConfig config = bed.prism().config();
-  config.disentangle.pyramid.enable = pyramid;
-  return bed.make_pipeline_variant(std::move(config));
-}
-
 // ---------------------------------------------------------------------------
 // sense_batch: batched Stage A byte-identical to sequential sensing
 // ---------------------------------------------------------------------------
@@ -120,38 +114,16 @@ TEST(BatchedSense, MatchesSequentialAcrossThreadsAndKernels) {
   EXPECT_TRUE(saw_rejected) << "corpus never hit the rejected path; weak test";
 }
 
-TEST(BatchedSense, PyramidBatchMatchesSequentialPyramid) {
-  TestbedConfig config;
-  config.n_antennas = 4;
-  Testbed bed(config);
-  const std::vector<RoundTrace> corpus = make_corpus(bed, 3, 5, 0xF1E);
-  const RfPrism variant = make_variant(bed, /*pyramid=*/true);
-  std::vector<SensingResult> reference;
-  for (const RoundTrace& round : corpus) {
-    reference.push_back(variant.sense(round, bed.tag_id()));
-  }
-  for (std::size_t threads : {1u, 8u}) {
-    SensingEngine engine(threads);
-    const std::vector<SensingResult> batch =
-        variant.sense_batch(corpus, engine, bed.tag_id());
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      expect_identical(batch[k], reference[k],
-                       "threads=" + std::to_string(threads) + " round " +
-                           std::to_string(k));
-    }
-  }
-}
-
 TEST(BatchedSense, SingletonBatchMatchesSingleSense) {
   TestbedConfig config;
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 1, 0, 0x001);
-  const RfPrism variant = make_variant(bed);
+  const RfPrism& prism = bed.prism();
   SensingEngine engine(2);
-  const auto batch = variant.sense_batch(corpus, engine, bed.tag_id());
+  const auto batch = prism.sense_batch(corpus, engine, bed.tag_id());
   ASSERT_EQ(batch.size(), 1u);
-  expect_identical(batch[0], variant.sense(corpus[0], bed.tag_id()),
+  expect_identical(batch[0], prism.sense(corpus[0], bed.tag_id()),
                    "singleton");
 }
 
@@ -162,12 +134,12 @@ TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 5, 3, 0x3A3);
-  const RfPrism variant = make_variant(bed);
+  const RfPrism& prism = bed.prism();
 
   // First pass: learn positions to hint with.
   std::vector<SensingResult> cold;
   for (const RoundTrace& round : corpus) {
-    cold.push_back(variant.sense(round, bed.tag_id()));
+    cold.push_back(prism.sense(round, bed.tag_id()));
   }
   std::vector<std::optional<Vec3>> hints(corpus.size());
   for (std::size_t k = 0; k < corpus.size(); ++k) {
@@ -183,15 +155,15 @@ TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
   for (std::size_t k = 0; k < corpus.size(); ++k) {
     if (hints[k].has_value()) {
       reference.push_back(
-          variant.sense_warm(corpus[k], bed.tag_id(), *hints[k]));
+          prism.sense_warm(corpus[k], bed.tag_id(), *hints[k]));
     } else {
-      reference.push_back(variant.sense(corpus[k], bed.tag_id()));
+      reference.push_back(prism.sense(corpus[k], bed.tag_id()));
     }
   }
   for (std::size_t threads : {1u, 4u}) {
     SensingEngine engine(threads);
     const auto batch =
-        variant.sense_batch(corpus, tag_ids, engine, nullptr, hints);
+        prism.sense_batch(corpus, tag_ids, engine, nullptr, hints);
     for (std::size_t k = 0; k < corpus.size(); ++k) {
       expect_identical(batch[k], reference[k],
                        "threads=" + std::to_string(threads) + " round " +
@@ -205,7 +177,7 @@ TEST(BatchedSense, PerRoundTagIdsApplyCalibrationsIndividually) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 4, 0, 0x7A6);
-  const RfPrism variant = make_variant(bed);
+  const RfPrism& prism = bed.prism();
   // Alternate calibrated / uncalibrated ids: kt/bt/material compensation
   // differs between them, so cross-tag mixups would show.
   std::vector<std::string> tag_ids;
@@ -213,9 +185,9 @@ TEST(BatchedSense, PerRoundTagIdsApplyCalibrationsIndividually) {
     tag_ids.push_back(k % 2 == 0 ? bed.tag_id() : "uncalibrated-tag");
   }
   SensingEngine engine(2);
-  const auto batch = variant.sense_batch(corpus, tag_ids, engine);
+  const auto batch = prism.sense_batch(corpus, tag_ids, engine);
   for (std::size_t k = 0; k < corpus.size(); ++k) {
-    expect_identical(batch[k], variant.sense(corpus[k], tag_ids[k]),
+    expect_identical(batch[k], prism.sense(corpus[k], tag_ids[k]),
                      "round " + std::to_string(k));
   }
 }
@@ -227,13 +199,13 @@ TEST(BatchedSense, BatchAcquiresTableOnce) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 6, 0, 0x0CE);
-  const RfPrism variant = make_variant(bed);
+  const RfPrism& prism = bed.prism();
   SensingEngine engine(2);
-  (void)variant.sense_batch(corpus, engine, bed.tag_id());
+  (void)prism.sense_batch(corpus, engine, bed.tag_id());
   const GridGeometryCache::Stats after = engine.geometry_cache().stats();
   EXPECT_EQ(after.hits + after.misses, 1u)
       << "batched path must acquire the shared table exactly once";
-  (void)variant.sense_batch(corpus, engine, bed.tag_id());
+  (void)prism.sense_batch(corpus, engine, bed.tag_id());
   const GridGeometryCache::Stats again = engine.geometry_cache().stats();
   EXPECT_EQ(again.hits + again.misses, 2u);
   EXPECT_EQ(again.builds, 1u);

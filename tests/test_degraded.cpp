@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "rfp/common/error.hpp"
 #include "rfp/core/antenna_health.hpp"
+#include "rfp/core/engine.hpp"
 #include "rfp/core/pipeline.hpp"
 #include "rfp/exp/testbed.hpp"
 #include "rfp/rfsim/faults.hpp"
@@ -217,6 +221,52 @@ TEST_F(DegradedTest, FlakyPortStillSensesEachRound) {
   // A flaky (not dead) port must not collapse availability: most rounds
   // still produce a pose, full or degraded.
   EXPECT_GE(valid, 5u);
+}
+
+TEST_F(DegradedTest, BadDwellFrequencyIsSkippedNotThrown) {
+  // One dwell with an unusable frequency must cost only that dwell:
+  // sense stays total, and a batch keeps every other round's result.
+  const auto same = [](const SensingResult& a, const SensingResult& b) {
+    return a.valid == b.valid && a.grade == b.grade &&
+           a.reject_reason == b.reject_reason &&
+           a.position.x == b.position.x && a.position.y == b.position.y &&
+           a.position.z == b.position.z &&
+           a.position_residual == b.position_residual && a.alpha == b.alpha &&
+           a.orientation_residual == b.orientation_residual &&
+           a.kt == b.kt && a.bt == b.bt &&
+           a.material_signature == b.material_signature;
+  };
+  const RfPrism& prism = bed_->prism();
+  const std::string& tag = bed_->tag_id();
+  const RoundTrace good_a =
+      bed_->collect(bed_->tag_state({0.7, 1.2}, 0.5, "glass"), 300);
+  const RoundTrace good_b =
+      bed_->collect(bed_->tag_state({1.3, 0.8}, 1.1, "wood"), 301);
+  SensingEngine engine(2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    RoundTrace round =
+        bed_->collect(bed_->tag_state({1.0, 1.0}, 0.8, "metal"), 302);
+    round.dwells[3].frequency_hz = bad;
+    SensingResult single;
+    ASSERT_NO_THROW(single = prism.sense(round, tag));
+    EXPECT_TRUE(single.valid);
+    for (const double v :
+         {single.position.x, single.position.y, single.position.z,
+          single.position_residual, single.alpha, single.orientation_residual,
+          single.kt, single.bt}) {
+      EXPECT_TRUE(std::isfinite(v));
+    }
+
+    const std::vector<RoundTrace> rounds = {good_a, round, good_b};
+    std::vector<SensingResult> batch;
+    ASSERT_NO_THROW(batch = prism.sense_batch(rounds, engine, tag));
+    ASSERT_EQ(batch.size(), 3u);
+    EXPECT_TRUE(same(batch[0], prism.sense(good_a, tag)));
+    EXPECT_TRUE(same(batch[1], single));
+    EXPECT_TRUE(same(batch[2], prism.sense(good_b, tag)));
+  }
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ TEST(DeploymentRegistry, GraftKeepsServerSolverSettings) {
 
   RfPrismConfig base = a.prism().config();
   base.disentangle.warm_start.window_m = 0.1;
-  base.disentangle.pyramid.enable = true;
+  base.disentangle.orientation_scan_steps = 360;
   const RfPrism server_prism = a.make_pipeline_variant(std::move(base));
 
   DeploymentRegistry registry(8);
@@ -98,7 +98,8 @@ TEST(DeploymentRegistry, GraftKeepsServerSolverSettings) {
   const auto tenant = registry.acquire(b.prism().config().geometry,
                                        b.prism().calibrations());
   EXPECT_EQ(tenant->prism().config().disentangle.warm_start.window_m, 0.1);
-  EXPECT_TRUE(tenant->prism().config().disentangle.pyramid.enable);
+  EXPECT_EQ(tenant->prism().config().disentangle.orientation_scan_steps,
+            360u);
   EXPECT_EQ(tenant->prism().config().geometry.n_antennas(),
             b.prism().config().geometry.n_antennas());
   EXPECT_EQ(tenant->prism().calibrations().n_tags(),

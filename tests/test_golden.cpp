@@ -1,9 +1,9 @@
 /// Golden corpus: fixed-seed rounds from the simulated testbed, sensed
 /// through every Stage-A route (cold exhaustive, pool-fanned, warm-start
-/// hit and fallback, pyramid, batched, 3-D), through the degraded,
-/// rejected and NaN-poisoned paths, and through drift-corrected sequences
-/// whose estimator is fed in emission order. Every numeric SensingResult field and
-/// every PositionSolve field (path and cells_scanned included) is written
+/// hit and fallback, batched, 3-D), through the degraded, rejected and
+/// NaN-poisoned paths, and through drift-corrected sequences whose
+/// estimator is fed in emission order. Every numeric SensingResult field
+/// and every PositionSolve field (path and cells_scanned included) is written
 /// as the 64-bit pattern of the double, and the test asserts that the
 /// freshly computed corpus equals the checked-in file byte for byte.
 ///
@@ -154,7 +154,6 @@ struct Coverage {
   std::size_t rejected = 0;
   std::size_t warm_hits = 0;
   std::size_t warm_fallbacks = 0;
-  std::size_t pyramid = 0;
   std::size_t mode_3d = 0;
   std::size_t drift_corrected = 0;  ///< sensed with active corrections
   std::size_t drift_dropped = 0;    ///< ... and a port past the bound
@@ -232,7 +231,6 @@ class CorpusWriter {
   }
 
   void note(const PositionSolve& s, const Vec3* hint) {
-    cov_.pyramid += s.path == SolvePath::kPyramid ? 1 : 0;
     if (hint != nullptr) {
       if (s.path == SolvePath::kWarmStart) {
         ++cov_.warm_hits;
@@ -331,15 +329,6 @@ std::string build_corpus(Coverage& cov) {
                hints[k] ? &*hints[k] : nullptr);
     }
 
-    // Pyramid variant, sequential and batched.
-    RfPrismConfig pc = prism.config();
-    pc.disentangle.pyramid.enable = true;
-    const RfPrism pyramid = bed.make_pipeline_variant(pc);
-    for (std::size_t k = 0; k < 4; ++k) {
-      w.sensed("pyramid2d/" + std::to_string(k), pyramid,
-               pyramid.sense(rounds[k], bed.tag_id()), nullptr);
-    }
-
     // Mobility inside the window: the error detector rejects it.
     for (std::size_t k = 0; k < 2; ++k) {
       const MobilityModel moving =
@@ -398,7 +387,7 @@ std::string build_corpus(Coverage& cov) {
     }
   }
 
-  // ---- 3-D: cold, warm, pyramid ------------------------------------------
+  // ---- 3-D: cold, warm ---------------------------------------------------
   {
     TestbedConfig config;
     config.mode_3d = true;
@@ -417,13 +406,6 @@ std::string build_corpus(Coverage& cov) {
     const Vec3 hint = states[0].position + Vec3{0.02, 0.02, -0.03};
     w.sensed("warm3d_near/0", prism,
              prism.sense_warm(rounds[0], bed.tag_id(), hint), &hint);
-    RfPrismConfig pc = prism.config();
-    pc.disentangle.pyramid.enable = true;
-    const RfPrism pyramid = bed.make_pipeline_variant(pc);
-    for (std::size_t k = 0; k < 2; ++k) {
-      w.sensed("pyramid3d/" + std::to_string(k), pyramid,
-               pyramid.sense(rounds[k], bed.tag_id()), nullptr);
-    }
   }
 
   // ---- Direct Stage-A solves on exact lines -----------------------------
@@ -520,7 +502,6 @@ TEST(GoldenCorpus, MatchesCheckedInFileByteForByte) {
   EXPECT_GE(cov.rejected, 2u);
   EXPECT_GE(cov.warm_hits, 2u);
   EXPECT_GE(cov.warm_fallbacks, 2u);
-  EXPECT_GE(cov.pyramid, 4u);
   EXPECT_GE(cov.mode_3d, 5u);
   EXPECT_GE(cov.drift_corrected, 8u);
   EXPECT_GE(cov.drift_dropped, 1u);

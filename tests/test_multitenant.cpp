@@ -2,8 +2,8 @@
 /// their own deployments, and every tenant's responses must be
 /// byte-identical to a single-tenant baseline solved locally with the
 /// same grafted pipeline — across engine thread counts, reactor counts,
-/// Stage-A search modes, and faulted/degraded rounds. Also: streaming sessions
-/// vs a local StreamingSensor, session replay on reconnect, registry
+/// and faulted/degraded rounds. Also: streaming sessions vs a local
+/// StreamingSensor, session replay on reconnect, registry
 /// exhaustion over the wire, per-tenant drift, and a session
 /// setup/teardown fuzz loop for the sanitizer jobs.
 
@@ -135,13 +135,9 @@ void require_grade_spread(const RfPrism& prism,
 /// The core isolation check: three tenants (default A, sessions B and C)
 /// hammered concurrently, every response compared byte-for-byte against
 /// its single-tenant baseline.
-void run_isolation_sweep(std::size_t engine_threads, std::size_t reactors,
-                         bool pyramid) {
+void run_isolation_sweep(std::size_t engine_threads, std::size_t reactors) {
   const Testbed& bed_a = default_bed();
-  RfPrismConfig server_config_prism = bed_a.prism().config();
-  server_config_prism.disentangle.pyramid.enable = pyramid;
-  const RfPrism server_prism =
-      bed_a.make_pipeline_variant(std::move(server_config_prism));
+  const RfPrism& server_prism = bed_a.prism();
 
   const RfPrism prism_b = graft(server_prism, bed_b());
   const RfPrism prism_c = graft(server_prism, bed_c());
@@ -231,23 +227,15 @@ void run_isolation_sweep(std::size_t engine_threads, std::size_t reactors,
 }
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalSingleThread) {
-  run_isolation_sweep(/*engine_threads=*/1, /*reactors=*/1,
-                      /*pyramid=*/false);
+  run_isolation_sweep(/*engine_threads=*/1, /*reactors=*/1);
 }
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalTwoThreadsTwoReactors) {
-  run_isolation_sweep(/*engine_threads=*/2, /*reactors=*/2,
-                      /*pyramid=*/false);
+  run_isolation_sweep(/*engine_threads=*/2, /*reactors=*/2);
 }
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalEightThreads) {
-  run_isolation_sweep(/*engine_threads=*/8, /*reactors=*/2,
-                      /*pyramid=*/false);
-}
-
-TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalPyramid) {
-  run_isolation_sweep(/*engine_threads=*/2, /*reactors=*/1,
-                      /*pyramid=*/true);
+  run_isolation_sweep(/*engine_threads=*/8, /*reactors=*/2);
 }
 
 TEST(MultiTenant, FaultedCorpusSpansGrades) {

@@ -123,29 +123,5 @@ TEST(UnwrapTrace, EmptyThrows) {
   EXPECT_THROW(unwrap_trace(std::vector<ChannelPhase>{}), InvalidArgument);
 }
 
-TEST(LocalSlopeSpread, ZeroForPerfectLine) {
-  const auto channels = make_channels(8e-8, 1.0, 20);
-  const UnwrappedTrace trace = unwrap_trace(channels);
-  EXPECT_NEAR(local_slope_spread(trace), 0.0, 1e-15);
-}
-
-TEST(LocalSlopeSpread, GrowsWithScatter) {
-  Rng rng(82);
-  auto channels = make_channels(8e-8, 1.0, 30);
-  UnwrappedTrace clean = unwrap_trace(channels);
-  for (auto& c : channels) {
-    c.phase = wrap_to_2pi(c.phase + rng.gaussian(0.0, 0.2));
-  }
-  UnwrappedTrace noisy = unwrap_trace(channels);
-  EXPECT_GT(local_slope_spread(noisy), local_slope_spread(clean));
-}
-
-TEST(LocalSlopeSpread, ShortTraceIsZero) {
-  UnwrappedTrace trace;
-  trace.frequency_hz = {1.0, 2.0};
-  trace.phase = {0.0, 5.0};
-  EXPECT_DOUBLE_EQ(local_slope_spread(trace), 0.0);
-}
-
 }  // namespace
 }  // namespace rfp

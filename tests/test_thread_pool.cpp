@@ -2,12 +2,41 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+// The global operator new is replaced to count allocations; sanitizer
+// builds own the allocator, so the counting test skips there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    defined(RFP_SANITIZE_BUILD)
+#define RFP_TEST_COUNT_ALLOCS 0
+#else
+#define RFP_TEST_COUNT_ALLOCS 1
+#endif
+
+#if RFP_TEST_COUNT_ALLOCS
+namespace {
+std::atomic<long> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#endif
 
 namespace rfp {
 namespace {
@@ -152,6 +181,38 @@ TEST(ThreadPool, AllChunksFinishEvenWhenOneThrows) {
       }),
       std::runtime_error);
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ThreadPool, ParallelForBodyIsBorrowedNotCopied) {
+#if RFP_TEST_COUNT_ALLOCS
+  // Allocations over kCalls fanned-out calls (8 chunks each) on a fresh
+  // pool. Both bodies queue the same chunks, so the task queue's own
+  // block allocations match; a body copied into a std::function would add
+  // one heap allocation per call once its captures outgrow the 16-byte
+  // inline buffer.
+  constexpr int kCalls = 64;
+  const auto allocs_per_run = [](const auto& body) {
+    ThreadPool pool(2);
+    const long before = g_allocs.load();
+    for (int i = 0; i < kCalls; ++i) pool.parallel_for(8, 1, body);
+    return g_allocs.load() - before;
+  };
+  std::atomic<std::size_t> a{0}, b{0}, c{0}, d{0};
+  const auto narrow = [&a](std::size_t begin, std::size_t, std::size_t) {
+    a += begin;
+  };
+  const auto wide = [&a, &b, &c, &d](std::size_t begin, std::size_t,
+                                     std::size_t) {
+    a += begin;
+    b += 1;
+    c += 2;
+    d += 3;
+  };
+  static_assert(sizeof(narrow) == 8 && sizeof(wide) == 32);
+  EXPECT_LE(allocs_per_run(wide), allocs_per_run(narrow));
+#else
+  GTEST_SKIP() << "sanitizer build owns operator new";
+#endif
 }
 
 TEST(ThreadPool, ParallelForResultsIndependentOfThreadCount) {

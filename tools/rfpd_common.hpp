@@ -41,7 +41,6 @@ struct DaemonOptions {
   /// Per-reactor buffer-pool residency cap (freelist slots per size
   /// class); 0 keeps the BufferPoolConfig default.
   std::size_t pool_buffers = 0;
-  bool pyramid = false;           ///< coarse-to-fine Stage-A search
   bool drift = false;             ///< online drift self-calibration
   bool track = false;             ///< grant per-session trajectory tracking
   /// Serve a surveyed deployment from files instead of the seed-keyed
@@ -95,8 +94,6 @@ inline bool parse_daemon_options(int argc, char** argv, int first,
         options.geometry_path = next();
       } else if (arg == "--calibration") {
         options.calibration_path = next();
-      } else if (arg == "--pyramid") {
-        options.pyramid = true;
       } else if (arg == "--drift") {
         options.drift = true;
       } else if (arg == "--track") {
@@ -134,15 +131,13 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
   bed_config.multipath_environment = options.multipath;
   const Testbed bed(bed_config);
 
-  // Solver-mode variant (same geometry + calibration; only the Stage-A
-  // search strategy differs — see DESIGN.md "Solver acceleration").
+  // The testbed's pipeline with the daemon's drift setting.
   RfPrismConfig prism_config = bed.prism().config();
-  prism_config.disentangle.pyramid.enable = options.pyramid;
   prism_config.disentangle.drift.enable = options.drift;
 
   // Default deployment: the seed-keyed testbed, unless survey /
-  // calibration files override it (solver modes stay as chosen above —
-  // files ship the site, never the solver).
+  // calibration files override it (the drift setting stays as chosen
+  // above — files ship the site, never the solver).
   std::optional<RfPrism> pipeline;
   const bool file_deployment =
       !options.geometry_path.empty() || !options.calibration_path.empty();
@@ -184,21 +179,19 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
 
   if (file_deployment) {
     std::printf("%s: deployment from %s%s%s, %zu antennas, "
-                "%zu worker thread(s), %zu reactor(s), solver %s\n",
+                "%zu worker thread(s), %zu reactor(s)\n",
                 name,
                 options.geometry_path.empty() ? "seed geometry"
                                               : options.geometry_path.c_str(),
                 options.calibration_path.empty() ? "" : " + ",
                 options.calibration_path.c_str(),
                 prism.config().geometry.n_antennas(), engine.n_threads(),
-                server_config.reactors,
-                options.pyramid ? "pyramid" : "exhaustive");
+                server_config.reactors);
   } else {
     std::printf("%s: deployment seed %llu, %zu antennas, "
-                "%zu worker thread(s), %zu reactor(s), solver %s\n",
+                "%zu worker thread(s), %zu reactor(s)\n",
                 name, static_cast<unsigned long long>(options.seed),
-                options.antennas, engine.n_threads(), server_config.reactors,
-                options.pyramid ? "pyramid" : "exhaustive");
+                options.antennas, engine.n_threads(), server_config.reactors);
   }
   if (options.drift) {
     std::printf("%s: drift self-calibration enabled\n", name);

@@ -12,7 +12,7 @@
 ///        [--max-conns N] [--max-pending N] [--max-tenants N]
 ///        [--pool-buffers N]
 ///        [--geometry FILE] [--calibration FILE]
-///        [--pyramid] [--drift] [--track]
+///        [--drift] [--track]
 ///
 /// --port 0 binds an ephemeral port; the actual port is printed on the
 /// "listening on" line (scripts parse it there). --reactors runs N
@@ -39,8 +39,7 @@ int usage() {
                "            [--max-conns N] [--max-pending N]\n"
                "            [--max-tenants N] [--pool-buffers N]\n"
                "            [--geometry FILE]\n"
-               "            [--calibration FILE] [--pyramid] [--drift]\n"
-               "            [--track]\n");
+               "            [--calibration FILE] [--drift] [--track]\n");
   return 2;
 }
 

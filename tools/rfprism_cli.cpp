@@ -91,14 +91,13 @@ int usage() {
                "                 [--host H] [--port N] [--timeout SEC]\n"
                "  rfprism batch [--rounds N] [--threads N] [--material NAME|all]\n"
                "                [--multipath] [--seed S] [--verify]\n"
-               "                [--pyramid]\n"
                "  rfprism serve [--port N] [--bind ADDR] [--threads N]\n"
                "                [--reactors N] [--seed S] [--antennas N]\n"
                "                [--multipath] [--idle-timeout SEC]\n"
                "                [--max-conns N] [--max-pending N]\n"
                "                [--max-tenants N] [--pool-buffers N]\n"
                "                [--geometry FILE] [--calibration FILE]\n"
-               "                [--pyramid] [--drift] [--track]\n"
+               "                [--drift] [--track]\n"
                "  rfprism request [--host H] [--port N] [--trace FILE]\n"
                "                  [--trial K] [--seed S] [--antennas N]\n"
                "                  [--multipath] [--material NAME] [--tag ID]\n"
@@ -651,7 +650,6 @@ struct BatchOptions {
   bool multipath = false;
   std::uint64_t seed = 42;
   bool verify = false;
-  bool pyramid = false;   ///< coarse-to-fine Stage-A search
 };
 
 /// Exact equality on everything sensing computes. Bit-identity across
@@ -676,12 +674,7 @@ int run_batch(const BatchOptions& options) {
   config.seed = options.seed;
   config.multipath_environment = options.multipath;
   Testbed bed(config);
-
-  // Solver-mode variant of the deployment pipeline (same geometry and
-  // calibration; only the Stage-A search strategy differs).
-  RfPrismConfig prism_config = bed.prism().config();
-  prism_config.disentangle.pyramid.enable = options.pyramid;
-  const RfPrism prism = bed.make_pipeline_variant(std::move(prism_config));
+  const RfPrism& prism = bed.prism();
 
   const auto materials = paper_materials();
   Rng rng(mix_seed(options.seed, 0xBA7C));
@@ -701,8 +694,8 @@ int run_batch(const BatchOptions& options) {
   }
 
   SensingEngine engine(options.threads);
-  std::printf("sensing %zu rounds on %zu thread(s), solver %s...\n", n,
-              engine.n_threads(), options.pyramid ? "pyramid" : "exhaustive");
+  std::printf("sensing %zu rounds on %zu thread(s)...\n", n,
+              engine.n_threads());
 
   // Warm-up pass populates each per-thread workspace (and the geometry
   // cache) so the timed pass measures the steady-state solve path.
@@ -1002,8 +995,6 @@ int main(int argc, char** argv) {
           options.seed = std::stoull(next());
         } else if (arg == "--verify") {
           options.verify = true;
-        } else if (arg == "--pyramid") {
-          options.pyramid = true;
         } else {
           std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
           return usage();
