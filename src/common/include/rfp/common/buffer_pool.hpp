@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -17,11 +19,11 @@
 ///    move-only RAII handle (PooledBuffer) that returns the storage on
 ///    destruction;
 ///  - freelists are binned by capacity into power-of-two size classes
-///    (min_class_bytes … max_class_bytes); acquire() rounds the caller's
+///    (kMinClassBytes … kMaxClassBytes); acquire() rounds the caller's
 ///    hint up to a class so repeated acquire/release cycles stay in one
 ///    bin instead of fragmenting;
 ///  - each class holds at most max_buffers_per_class buffers; beyond
-///    that (or beyond max_class_bytes, e.g. a vector that grew while
+///    that (or beyond kMaxClassBytes, e.g. a vector that grew while
 ///    out) the storage is freed and counted as a discard, which bounds
 ///    resident memory under bursty traffic;
 ///  - a mutex guards the freelists. Pools are per-reactor, so the only
@@ -73,11 +75,6 @@ class PooledBuffer {
 };
 
 struct BufferPoolConfig {
-  /// Smallest size class; acquire() hints below this round up to it.
-  std::size_t min_class_bytes = 4096;
-  /// Largest pooled capacity. Buffers that grew beyond this while out
-  /// are freed on release rather than kept resident.
-  std::size_t max_class_bytes = 1u << 20;
   /// Per-class freelist depth; releases beyond it are discarded.
   std::size_t max_buffers_per_class = 64;
 };
@@ -95,6 +92,12 @@ struct BufferPoolStats {
 /// Thread-safe size-classed buffer freelist. See file comment.
 class BufferPool {
  public:
+  /// Smallest size class; acquire() hints below this round up to it.
+  static constexpr std::size_t kMinClassBytes = 4096;
+  /// Largest pooled capacity. Buffers that grew beyond this while out
+  /// are freed on release rather than kept resident.
+  static constexpr std::size_t kMaxClassBytes = std::size_t{1} << 20;
+
   explicit BufferPool(BufferPoolConfig config = {});
   ~BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
@@ -108,12 +111,15 @@ class BufferPool {
  private:
   friend class PooledBuffer;
   void release(std::vector<std::uint8_t>&& storage);
-  std::size_t class_for_acquire(std::size_t min_capacity) const;
+  static std::size_t class_for_acquire(std::size_t min_capacity);
+
+  /// Class c holds buffers of capacity kMinClassBytes << c.
+  static constexpr std::size_t kClassCount =
+      std::bit_width(kMaxClassBytes / kMinClassBytes);
 
   BufferPoolConfig config_;
-  std::vector<std::size_t> class_bytes_;  ///< capacity of each class
   mutable std::mutex mutex_;
-  std::vector<std::vector<std::vector<std::uint8_t>>> free_;
+  std::array<std::vector<std::vector<std::uint8_t>>, kClassCount> free_;
   BufferPoolStats stats_;
 };
 

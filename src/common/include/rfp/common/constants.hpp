@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 
 /// \file constants.hpp
@@ -44,13 +43,6 @@ inline constexpr double kMidBandHz = (kFirstChannelHz + kLastChannelHz) / 2.0;
 
 /// Mid-band wavelength [m] (~32.8 cm).
 inline constexpr double kMidBandWavelength = kSpeedOfLight / kMidBandHz;
-
-/// All channel center frequencies, ascending [Hz].
-inline constexpr std::array<double, kNumChannels> all_channel_frequencies() {
-  std::array<double, kNumChannels> f{};
-  for (std::size_t i = 0; i < kNumChannels; ++i) f[i] = channel_frequency(i);
-  return f;
-}
 
 /// Slope contribution of round-trip propagation per meter of antenna-tag
 /// distance [rad/Hz/m]: d(theta)/df = 4*pi*d/c.

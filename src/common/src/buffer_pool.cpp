@@ -37,26 +37,23 @@ void PooledBuffer::reset() {
   storage_ = std::vector<std::uint8_t>{};
 }
 
-BufferPool::BufferPool(BufferPoolConfig config) : config_(config) {
-  config_.min_class_bytes = std::max<std::size_t>(config_.min_class_bytes, 64);
-  config_.max_class_bytes =
-      std::max(config_.max_class_bytes, config_.min_class_bytes);
-  for (std::size_t bytes = config_.min_class_bytes;;) {
-    class_bytes_.push_back(bytes);
-    if (bytes >= config_.max_class_bytes) break;
-    bytes = std::min(bytes * 2, config_.max_class_bytes);
-  }
-  free_.resize(class_bytes_.size());
+namespace {
+
+std::size_t class_bytes(std::size_t c) {
+  return BufferPool::kMinClassBytes << c;
 }
 
-std::size_t BufferPool::class_for_acquire(std::size_t min_capacity) const {
+}  // namespace
+
+BufferPool::BufferPool(BufferPoolConfig config) : config_(config) {}
+
+std::size_t BufferPool::class_for_acquire(std::size_t min_capacity) {
   // Smallest class that can hold min_capacity; callers asking beyond the
   // largest class get the largest (the vector grows past it while out and
   // the oversized storage is discarded on release).
-  for (std::size_t c = 0; c < class_bytes_.size(); ++c) {
-    if (class_bytes_[c] >= min_capacity) return c;
-  }
-  return class_bytes_.size() - 1;
+  std::size_t c = 0;
+  while (c + 1 < kClassCount && class_bytes(c) < min_capacity) ++c;
+  return c;
 }
 
 PooledBuffer BufferPool::acquire(std::size_t min_capacity) {
@@ -67,7 +64,7 @@ PooledBuffer BufferPool::acquire(std::size_t min_capacity) {
     // Scan from the preferred class upward so a buffer from a larger bin
     // still beats a fresh allocation.
     for (std::size_t c = class_for_acquire(min_capacity);
-         c < class_bytes_.size(); ++c) {
+         c < kClassCount; ++c) {
       if (!free_[c].empty()) {
         storage = std::move(free_[c].back());
         free_[c].pop_back();
@@ -79,8 +76,8 @@ PooledBuffer BufferPool::acquire(std::size_t min_capacity) {
     }
     if (storage.capacity() == 0) ++stats_.misses;
   }
-  const std::size_t want =
-      std::max(min_capacity, class_bytes_[class_for_acquire(min_capacity)]);
+  const std::size_t want = std::max(
+      min_capacity, class_bytes(class_for_acquire(min_capacity)));
   if (storage.capacity() < want) storage.reserve(want);
   storage.clear();
   return PooledBuffer(this, std::move(storage));
@@ -91,14 +88,13 @@ void BufferPool::release(std::vector<std::uint8_t>&& storage) {
   const std::size_t capacity = local.capacity();
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.releases;
-  if (capacity < config_.min_class_bytes ||
-      capacity > config_.max_class_bytes) {
+  if (capacity < kMinClassBytes || capacity > kMaxClassBytes) {
     ++stats_.discards;
     return;  // `local` frees the storage
   }
   // Bin by the largest class the capacity can actually serve.
   std::size_t c = 0;
-  while (c + 1 < class_bytes_.size() && class_bytes_[c + 1] <= capacity) ++c;
+  while (c + 1 < kClassCount && class_bytes(c + 1) <= capacity) ++c;
   if (free_[c].size() >= config_.max_buffers_per_class) {
     ++stats_.discards;
     return;

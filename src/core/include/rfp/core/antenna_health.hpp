@@ -21,30 +21,20 @@
 
 namespace rfp {
 
+/// A port is quarantined once observed for 3 rounds (one burst-corrupted
+/// first round must not condemn it) when its EWMA fit RMSE exceeds 0.30
+/// rad, its EWMA read rate (channels delivered / channels expected) falls
+/// below 0.30, or its EWMA exclusion rate (how often the per-round health
+/// gate rejected it) exceeds 0.60. It is re-admitted (hysteresis) only when
+/// the RMSE is below rmse_readmit, the read rate above 0.60 and the
+/// exclusion rate below 0.25.
 struct AntennaHealthConfig {
   /// EWMA weight of the newest observation (0 < alpha <= 1).
   double ewma_alpha = 0.3;
 
-  /// Quarantine when the EWMA fit RMSE exceeds this [rad] ...
-  double rmse_quarantine = 0.30;
-  /// ... re-admit only when it has fallen back below this (hysteresis).
+  /// Re-admit a quarantined port only when its EWMA fit RMSE has fallen
+  /// back below this [rad]; must be below the 0.30 quarantine bound.
   double rmse_readmit = 0.15;
-
-  /// Quarantine when the EWMA read rate (channels delivered / channels
-  /// expected) falls below this ...
-  double read_rate_quarantine = 0.30;
-  /// ... re-admit only above this.
-  double read_rate_readmit = 0.60;
-
-  /// Quarantine when the EWMA exclusion rate (how often the per-round
-  /// health gate rejected this port) exceeds this ...
-  double exclusion_rate_quarantine = 0.60;
-  /// ... re-admit only below this.
-  double exclusion_rate_readmit = 0.25;
-
-  /// Rounds a port must be observed before it can be quarantined (one
-  /// burst-corrupted first round must not condemn the port).
-  std::size_t min_rounds = 3;
 };
 
 /// EWMA health state of one reader port.
@@ -60,7 +50,7 @@ struct PortHealth {
 class AntennaHealthMonitor {
  public:
   /// Throws InvalidArgument on zero antennas, alpha outside (0, 1], or
-  /// re-admission thresholds not strictly inside their quarantine bounds.
+  /// rmse_readmit not strictly below the quarantine bound.
   explicit AntennaHealthMonitor(std::size_t n_antennas,
                                 AntennaHealthConfig config = {});
 

@@ -69,24 +69,6 @@ struct DriftConfig {
   /// cross-port median by more than `mad_gate` robust sigmas
   /// (1.4826 * MAD, floored by the channel's absolute sigma floor below).
   double mad_gate = 6.0;
-  /// Absolute innovation-scale floors — a clean simulated round has
-  /// near-zero MAD, and the gate must not reject honest noise.
-  double min_sigma_slope = 5e-10;  ///< [rad/Hz]
-  double min_sigma_intercept = 0.02;  ///< [rad]
-
-  // -- Re-survey alarm ----------------------------------------------------
-  /// Base thresholds on the accumulated per-port correction.
-  double alarm_slope = 8e-9;      ///< [rad/Hz] (~0.2 m of ranging bias)
-  double alarm_intercept = 0.35;  ///< [rad] (~20 deg of intercept bias)
-  /// Confidence scaling: the threshold grows by this many spread units
-  /// (EMA of |innovation|), so a noisy port must drift further before the
-  /// alarm fires.
-  double alarm_confidence = 3.0;
-  /// Updates a port needs before it can alarm.
-  std::size_t alarm_min_updates = 12;
-  /// Hysteresis: a latched alarm clears only once the correction falls
-  /// below this fraction of the (confidence-scaled) threshold.
-  double alarm_clear_fraction = 0.5;
 
   // -- Degradation bound --------------------------------------------------
   /// Beyond these, a port's correction is no longer trusted and the port
@@ -106,7 +88,7 @@ struct DriftCorrections {
   std::vector<bool> drop;
 };
 
-/// Per-port estimator state (also the unit of serialization).
+/// Per-port estimator state.
 struct AntennaDriftState {
   double slope = 0.0;       ///< EMA drift estimate, slope channel [rad/Hz]
   double intercept = 0.0;   ///< EMA drift estimate, intercept channel [rad]
@@ -145,8 +127,18 @@ struct DriftStats {
 /// deployment owns it. Not thread-safe by itself: owners that share one
 /// across threads (DeploymentTenant) serialize access behind their own
 /// lock; StreamingSensor observes in emission order on one thread.
+///
+/// Re-survey alarm: once a port has kAlarmMinUpdates accepted updates, it
+/// latches an alarm when its accumulated correction exceeds 8e-9 rad/Hz
+/// (~0.2 m of ranging bias) or 0.35 rad (~20 deg of intercept bias), each
+/// grown by 3 spread units (EMA of |innovation|) so a noisy port must
+/// drift further. The alarm clears (hysteresis) once both corrections
+/// fall below half the grown thresholds.
 class DriftEstimator {
  public:
+  /// Accepted updates a port needs before it can alarm.
+  static constexpr std::size_t kAlarmMinUpdates = 12;
+
   /// Throws InvalidArgument on zero antennas or out-of-range tuning.
   explicit DriftEstimator(std::size_t n_antennas, DriftConfig config = {});
 
@@ -177,14 +169,9 @@ class DriftEstimator {
 
   DriftStats stats() const;
 
-  /// Per-port state (serialization + diagnostics).
+  /// Per-port state (diagnostics).
   const std::vector<AntennaDriftState>& state() const { return state_; }
   std::uint64_t rounds_observed() const { return stats_.rounds_observed; }
-
-  /// Adopt persisted state (calibration_io). Throws InvalidArgument when
-  /// `state` does not match this estimator's antenna count.
-  void restore(std::vector<AntennaDriftState> state,
-               std::uint64_t rounds_observed);
 
   /// Forget all history (state returns to zero, alarms clear).
   void reset();

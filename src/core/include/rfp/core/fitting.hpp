@@ -33,20 +33,6 @@ struct FittingConfig {
   /// sequential unwrap is used — the degraded "Multipath" mode.
   bool multipath_suppression = true;
 
-  /// RANSAC hypothesis count.
-  std::size_t ransac_iterations = 256;
-
-  /// Mod-pi residual below which a channel supports a hypothesis [rad].
-  double ransac_inlier_threshold = 0.12;
-
-  /// Final inlier classification threshold: factor times the robust
-  /// residual scale (1.4826 * MAD, floored at min_residual_scale and
-  /// capped at max_inlier_residual — the cap keeps structureless scatter,
-  /// whose MAD is huge, from being declared "all inliers").
-  double trim_threshold_factor = 3.5;
-  double min_residual_scale = 0.04;
-  double max_inlier_residual = 0.5;
-
   /// Physical bounds on the total slope k = 4*pi*d/c + kt [rad/Hz]; used
   /// to prune RANSAC slope hypotheses. Defaults cover d in (0, ~7 m) and
   /// |kt| up to 2e-8.

@@ -41,16 +41,6 @@ struct RfPrismConfig {
   FittingConfig fitting;
   ErrorDetectorConfig error_detector;
   DisentangleConfig disentangle;
-
-  /// Run the error detector (paper §V-C). Disable to study its effect.
-  bool enable_error_detector = true;
-
-  /// Degraded-mode sensing: when some antennas fail the per-round health
-  /// gate but at least the minimum solvable count (3 in 2D, 4 in 3D)
-  /// remain healthy, re-fit on the healthy subset and emit a kDegraded
-  /// result instead of rejecting the round. Disable to restore strict
-  /// all-or-nothing behaviour.
-  bool enable_degraded_mode = true;
 };
 
 /// Versatile phase-disentangling sensor.
@@ -82,11 +72,11 @@ class RfPrism {
   ///
   /// `health` optionally supplies long-horizon port state: quarantined
   /// ports are excluded from the solve up-front (the monitor is read-only
-  /// here — callers feed results back via observe_round). With degraded
-  /// mode enabled (see RfPrismConfig), rounds where unhealthy/quarantined
-  /// ports leave at least the minimum solvable antenna count produce a
-  /// kDegraded result on the healthy subset; with fewer healthy ports the
-  /// round is rejected with RejectReason::kAntennaHealth.
+  /// here — callers feed results back via observe_round). Rounds where
+  /// unhealthy/quarantined ports leave at least the minimum solvable
+  /// antenna count (3 in 2D, 4 in 3D) produce a kDegraded result on the
+  /// healthy subset; with fewer healthy ports the round is rejected with
+  /// RejectReason::kAntennaHealth.
   ///
   /// `drift` optionally supplies a DriftEstimator's correction snapshot
   /// (drift.hpp). It only takes effect when the config's

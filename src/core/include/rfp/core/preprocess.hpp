@@ -11,10 +11,12 @@
 namespace rfp {
 
 /// Pre-process one hop round into per-antenna traces. Antenna index `i` of
-/// the result is antenna `i` of the round. Dwells with no reads or with a
-/// non-finite or non-positive frequency are skipped; an antenna with no
-/// usable dwell yields an empty trace (callers check). Throws
-/// InvalidArgument on a malformed trace (zero antennas).
+/// the result is antenna `i` of the round. Reads whose phase is
+/// non-finite or outside [0, 2*pi) are dropped with their RSSI. Dwells
+/// with no remaining reads or with a non-finite or non-positive frequency
+/// are skipped; an antenna with no usable dwell yields an empty trace
+/// (callers check). Throws InvalidArgument on a malformed trace (zero
+/// antennas).
 std::vector<AntennaTrace> preprocess_round(const RoundTrace& round);
 
 /// Mean RSSI across all channels of a pre-processed antenna trace [dBm].

@@ -33,10 +33,6 @@ struct StreamingConfig {
   /// at least this many distinct channels.
   std::size_t min_channels_per_antenna = 40;
 
-  /// Reads older than this relative to the newest read of the same tag
-  /// are discarded (on arrival and when pools are pruned): stale pose data.
-  double max_round_age_s = 30.0;
-
   /// Drop a tag's partial state entirely if it has not been read for this
   /// long (departed tags).
   double tag_timeout_s = 120.0;
@@ -54,21 +50,8 @@ struct StreamingConfig {
   /// read is evicted first (a chattering tag cannot grow a pool forever).
   std::size_t max_reads_per_pool = 64;
 
-  /// Drop a read whose (timestamp, phase) exactly duplicates one already
-  /// pooled for the same (tag, antenna, channel) — LLRP redelivery.
-  bool drop_duplicates = true;
-
-  /// Emit a degraded round for a tag whose healthy-antenna subset (>=
-  /// partial_min_antennas ports with min_channels_per_antenna channels)
-  /// has been waiting longer than max_round_age_s for the remaining ports.
-  /// This is what keeps a deployment with a dead port emitting poses
-  /// *before* the health monitor has quarantined the port.
-  bool emit_partial_rounds = true;
-  std::size_t partial_min_antennas = 3;
-
-  /// Maintain an AntennaHealthMonitor over emitted rounds and use it for
+  /// The sensor's AntennaHealthMonitor over emitted rounds, used for
   /// round-completion and sensing (quarantined ports are not waited for).
-  bool enable_health_monitor = true;
   AntennaHealthConfig health;
 
   /// Warm-start sensing: keep a per-tag constant-velocity track over the
@@ -77,11 +60,10 @@ struct StreamingConfig {
   /// the full grid whenever the windowed residual exceeds
   /// DisentangleConfig::warm_start.max_rms, so accuracy is preserved; a
   /// warm-started solve is *not* bit-identical to a cold one, which is
-  /// why this is opt-in.
+  /// why this is opt-in. A track whose last accepted fix is older than
+  /// the round-age window (30 s) never seeds a solve: a stale prediction
+  /// is worse than a cold scan.
   bool enable_warm_start = false;
-  /// A track whose last accepted fix is older than this never seeds a
-  /// solve (a stale prediction is worse than a cold scan).
-  double warm_start_max_age_s = 30.0;
 };
 
 /// Ingestion / emission counters. All monotonically increasing until
@@ -122,6 +104,15 @@ struct StreamedResult {
 /// the reads of the current round are pooled (the pipeline's dwell
 /// aggregation handles pi jumps and averaging). Memory is bounded by the
 /// StreamingConfig caps no matter how adversarial the stream is.
+///
+/// Fixed policy: reads more than 30 s older than the tag's newest read
+/// are stale pose data and are discarded (on arrival and when pools are
+/// pruned); a read whose (timestamp, phase) exactly duplicates one
+/// already pooled for the same (tag, antenna, channel) is LLRP
+/// redelivery and is dropped; and a tag whose >= 3 complete ports have
+/// waited longer than 30 s for the rest is emitted as a partial round,
+/// which keeps a deployment with a dead port emitting poses *before* the
+/// health monitor has quarantined the port.
 class StreamingSensor {
  public:
   /// With an `engine`, each poll() senses all completing tags as one
@@ -177,10 +168,8 @@ class StreamingSensor {
   /// Ingestion/emission counters since construction or clear().
   const StreamingStats& stats() const { return stats_; }
 
-  /// Port-health monitor state (nullptr when disabled by config).
-  const AntennaHealthMonitor* health() const {
-    return health_ ? &*health_ : nullptr;
-  }
+  /// Port-health monitor state (never null).
+  const AntennaHealthMonitor* health() const { return &health_; }
 
   /// Drift estimator state (nullptr unless the pipeline config enables
   /// `disentangle.drift`). The sensor owns one estimator per deployment:
@@ -241,7 +230,7 @@ class StreamingSensor {
   SensingEngine* engine_ = nullptr;
   std::map<std::string, PendingTag> pending_;
   StreamingStats stats_;
-  std::optional<AntennaHealthMonitor> health_;
+  AntennaHealthMonitor health_;
   /// Per-deployment drift self-calibration, constructed when the pipeline
   /// config enables disentangle.drift. Observed only from poll_at (single
   /// caller thread), so no lock is needed here.

@@ -6,21 +6,28 @@
 
 namespace rfp {
 
+namespace {
+
+// Quarantine and re-admission bounds of the EWMA signals; see
+// AntennaHealthConfig.
+constexpr double kRmseQuarantine = 0.30;
+constexpr double kReadRateQuarantine = 0.30;
+constexpr double kReadRateReadmit = 0.60;
+constexpr double kExclusionRateQuarantine = 0.60;
+constexpr double kExclusionRateReadmit = 0.25;
+constexpr std::size_t kMinRounds = 3;
+
+}  // namespace
+
 AntennaHealthMonitor::AntennaHealthMonitor(std::size_t n_antennas,
                                            AntennaHealthConfig config)
     : config_(config), ports_(n_antennas) {
   require(n_antennas > 0, "AntennaHealthMonitor: zero antennas");
   require(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
           "AntennaHealthMonitor: ewma_alpha must be in (0, 1]");
-  require(config_.rmse_readmit < config_.rmse_quarantine,
-          "AntennaHealthMonitor: rmse_readmit must be below rmse_quarantine");
-  require(config_.read_rate_readmit > config_.read_rate_quarantine,
-          "AntennaHealthMonitor: read_rate_readmit must be above "
-          "read_rate_quarantine");
-  require(
-      config_.exclusion_rate_readmit < config_.exclusion_rate_quarantine,
-      "AntennaHealthMonitor: exclusion_rate_readmit must be below "
-      "exclusion_rate_quarantine");
+  require(config_.rmse_readmit < kRmseQuarantine,
+          "AntennaHealthMonitor: rmse_readmit must be below the quarantine "
+          "bound");
 }
 
 void AntennaHealthMonitor::observe_port(std::size_t antenna, double fit_rmse,
@@ -72,11 +79,10 @@ void AntennaHealthMonitor::observe_round(const SensingResult& result,
 
 void AntennaHealthMonitor::update_quarantine(PortHealth& port) {
   if (!port.quarantined) {
-    if (port.rounds_observed < config_.min_rounds) return;
-    const bool bad = port.ewma_rmse > config_.rmse_quarantine ||
-                     port.ewma_read_rate < config_.read_rate_quarantine ||
-                     port.ewma_exclusion_rate >
-                         config_.exclusion_rate_quarantine;
+    if (port.rounds_observed < kMinRounds) return;
+    const bool bad = port.ewma_rmse > kRmseQuarantine ||
+                     port.ewma_read_rate < kReadRateQuarantine ||
+                     port.ewma_exclusion_rate > kExclusionRateQuarantine;
     if (bad) {
       port.quarantined = true;
       ++port.quarantine_transitions;
@@ -87,8 +93,8 @@ void AntennaHealthMonitor::update_quarantine(PortHealth& port) {
   // re-admission band before the port rejoins the solve.
   const bool recovered =
       port.ewma_rmse < config_.rmse_readmit &&
-      port.ewma_read_rate > config_.read_rate_readmit &&
-      port.ewma_exclusion_rate < config_.exclusion_rate_readmit;
+      port.ewma_read_rate > kReadRateReadmit &&
+      port.ewma_exclusion_rate < kExclusionRateReadmit;
   if (recovered) port.quarantined = false;
 }
 

@@ -14,6 +14,19 @@ namespace rfp {
 
 namespace {
 
+/// Absolute innovation-scale floors of the MAD gate — a clean simulated
+/// round has near-zero MAD, and the gate must not reject honest noise.
+constexpr double kMinSigmaSlope = 5e-10;     // [rad/Hz]
+constexpr double kMinSigmaIntercept = 0.02;  // [rad]
+
+/// Re-survey alarm (see DriftEstimator): base thresholds on the
+/// accumulated per-port correction, their growth in spread units, and the
+/// fraction of the grown threshold below which a latched alarm clears.
+constexpr double kAlarmSlope = 8e-9;      // [rad/Hz]
+constexpr double kAlarmIntercept = 0.35;  // [rad]
+constexpr double kAlarmConfidence = 3.0;
+constexpr double kAlarmClearFraction = 0.5;
+
 /// Robust sigma of a set of innovations: scaled MAD, floored so a clean
 /// (near-zero-MAD) round cannot gate honest noise away.
 double robust_sigma(std::span<const double> values, double floor_sigma) {
@@ -31,15 +44,6 @@ DriftEstimator::DriftEstimator(std::size_t n_antennas, DriftConfig config)
   require(config_.warmup_rounds >= 1,
           "DriftEstimator: warmup_rounds must be >= 1");
   require(config_.mad_gate > 0.0, "DriftEstimator: mad_gate must be positive");
-  require(config_.min_sigma_slope > 0.0 && config_.min_sigma_intercept > 0.0,
-          "DriftEstimator: sigma floors must be positive");
-  require(config_.alarm_slope > 0.0 && config_.alarm_intercept > 0.0,
-          "DriftEstimator: alarm thresholds must be positive");
-  require(config_.alarm_confidence >= 0.0,
-          "DriftEstimator: alarm_confidence must be non-negative");
-  require(config_.alarm_clear_fraction > 0.0 &&
-              config_.alarm_clear_fraction <= 1.0,
-          "DriftEstimator: alarm_clear_fraction must be in (0, 1]");
   require(config_.max_correct_slope > 0.0 &&
               config_.max_correct_intercept > 0.0,
           "DriftEstimator: correctable bounds must be positive");
@@ -155,13 +159,11 @@ void DriftEstimator::observe(const SensingResult& result,
   // into its EMA, while a slow honest ramp (small innovations on every
   // port) passes untouched.
   const double slope_med = median(slope_innovation);
-  const double slope_sigma =
-      robust_sigma(slope_innovation, config_.min_sigma_slope);
+  const double slope_sigma = robust_sigma(slope_innovation, kMinSigmaSlope);
   double intercept_med = 0.0, intercept_sigma = 1.0;
   if (have_intercept) {
     intercept_med = median(intercept_innovation);
-    intercept_sigma =
-        robust_sigma(intercept_innovation, config_.min_sigma_intercept);
+    intercept_sigma = robust_sigma(intercept_innovation, kMinSigmaIntercept);
   }
 
   std::vector<bool> slope_ok(n), intercept_ok(n, false);
@@ -247,19 +249,16 @@ void DriftEstimator::observe(const SensingResult& result,
 
     // Alarm latch with hysteresis, on the confidence-scaled threshold: a
     // port whose residuals are noisy must drift further before alarming.
-    if (st.updates >= config_.alarm_min_updates) {
+    if (st.updates >= kAlarmMinUpdates) {
       const double slope_threshold =
-          config_.alarm_slope + config_.alarm_confidence * st.slope_spread;
+          kAlarmSlope + kAlarmConfidence * st.slope_spread;
       const double intercept_threshold =
-          config_.alarm_intercept +
-          config_.alarm_confidence * st.intercept_spread;
+          kAlarmIntercept + kAlarmConfidence * st.intercept_spread;
       const bool over = std::abs(st.slope) > slope_threshold ||
                         std::abs(st.intercept) > intercept_threshold;
       const bool under =
-          std::abs(st.slope) <
-              config_.alarm_clear_fraction * slope_threshold &&
-          std::abs(st.intercept) <
-              config_.alarm_clear_fraction * intercept_threshold;
+          std::abs(st.slope) < kAlarmClearFraction * slope_threshold &&
+          std::abs(st.intercept) < kAlarmClearFraction * intercept_threshold;
       if (!st.alarmed && over) {
         st.alarmed = true;
         ++stats_.alarms_raised;
@@ -322,23 +321,6 @@ DriftStats DriftEstimator::stats() const {
     }
   }
   return out;
-}
-
-void DriftEstimator::restore(std::vector<AntennaDriftState> state,
-                             std::uint64_t rounds_observed) {
-  require(state.size() == state_.size(),
-          "DriftEstimator::restore: antenna count mismatch");
-  for (const AntennaDriftState& st : state) {
-    require(std::isfinite(st.slope) && std::isfinite(st.intercept) &&
-                std::isfinite(st.slope_rate) &&
-                std::isfinite(st.intercept_rate) &&
-                std::isfinite(st.slope_spread) &&
-                std::isfinite(st.intercept_spread),
-            "DriftEstimator::restore: non-finite state");
-  }
-  state_ = std::move(state);
-  stats_ = {};
-  stats_.rounds_observed = rounds_observed;
 }
 
 void DriftEstimator::reset() {

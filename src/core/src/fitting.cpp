@@ -14,6 +14,18 @@ namespace rfp {
 
 namespace {
 
+/// RANSAC hypothesis count.
+constexpr std::size_t kRansacIterations = 256;
+/// Mod-pi residual below which a channel supports a hypothesis [rad].
+constexpr double kRansacInlierThreshold = 0.12;
+/// Final inlier classification threshold: this factor times the robust
+/// residual scale (1.4826 * MAD, floored at kMinResidualScale and capped
+/// at kMaxInlierResidual — the cap keeps structureless scatter, whose MAD
+/// is huge, from being declared "all inliers").
+constexpr double kTrimThresholdFactor = 3.5;
+constexpr double kMinResidualScale = 0.04;
+constexpr double kMaxInlierResidual = 0.5;
+
 /// Residual of `theta` against prediction `pred`, reduced modulo pi into
 /// [-pi/2, pi/2]. Both the 2*pi folding and the reader's pi ambiguity
 /// vanish under this reduction.
@@ -95,7 +107,7 @@ AntennaLine fit_antenna_line(const AntennaTrace& trace,
   std::size_t best_count = 0;
   double best_rss = std::numeric_limits<double>::infinity();
 
-  for (std::size_t it = 0; it < config.ransac_iterations; ++it) {
+  for (std::size_t it = 0; it < kRansacIterations; ++it) {
     const std::size_t i = rng.uniform_index(n);
     const std::size_t j = rng.uniform_index(n);
     const double df = f[j] - f[i];
@@ -115,7 +127,7 @@ AntennaLine fit_antenna_line(const AntennaTrace& trace,
       double rss = 0.0;
       for (std::size_t c = 0; c < n; ++c) {
         const double r = modpi_residual(wrapped[c], k * f[c] + b);
-        if (std::abs(r) <= config.ransac_inlier_threshold) {
+        if (std::abs(r) <= kRansacInlierThreshold) {
           ++count;
           rss += r * r;
         }
@@ -153,10 +165,10 @@ AntennaLine fit_antenna_line(const AntennaTrace& trace,
       abs_res[c] = std::abs(r);
     }
     const double scale =
-        std::max(config.min_residual_scale,
+        std::max(kMinResidualScale,
                  1.4826 * median(std::span<const double>(abs_res)));
-    const double threshold = std::min(config.trim_threshold_factor * scale,
-                                      config.max_inlier_residual);
+    const double threshold =
+        std::min(kTrimThresholdFactor * scale, kMaxInlierResidual);
     std::vector<double> fx, fy;
     fx.reserve(n);
     fy.reserve(n);

@@ -3,10 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rfp/common/constants.hpp"
 #include "rfp/common/error.hpp"
 #include "rfp/dsp/stats.hpp"
 
 namespace rfp {
+
+namespace {
+
+/// A reader reports phase in [0, 2*pi); anything else (non-finite or out
+/// of range) is a corrupt report.
+bool phase_in_domain(double phase) { return phase >= 0.0 && phase < kTwoPi; }
+
+}  // namespace
 
 std::vector<AntennaTrace> preprocess_round(const RoundTrace& round) {
   require(round.n_antennas > 0, "preprocess_round: zero antennas");
@@ -37,11 +46,24 @@ std::vector<AntennaTrace> preprocess_round(const RoundTrace& round) {
         dwell.frequency_hz <= 0.0) {
       continue;
     }
+    // Drop corrupt reads with their RSSI. The clean path reads the dwell
+    // in place; only a dwell holding a corrupt read is copied.
+    std::span<const double> phases(dwell.phases);
+    std::span<const double> rssi(dwell.rssi_dbm);
+    std::vector<double> kept_phases, kept_rssi;
+    if (!std::all_of(phases.begin(), phases.end(), phase_in_domain)) {
+      for (std::size_t i = 0; i < phases.size(); ++i) {
+        if (!phase_in_domain(phases[i])) continue;
+        kept_phases.push_back(phases[i]);
+        if (i < rssi.size()) kept_rssi.push_back(rssi[i]);
+      }
+      if (kept_phases.empty()) continue;
+      phases = kept_phases;
+      rssi = kept_rssi;
+    }
     ChannelAgg agg;
-    agg.phase = aggregate_dwell(dwell.frequency_hz, dwell.phases);
-    agg.rssi = dwell.rssi_dbm.empty()
-                   ? 0.0
-                   : mean(std::span<const double>(dwell.rssi_dbm));
+    agg.phase = aggregate_dwell(dwell.frequency_hz, phases);
+    agg.rssi = rssi.empty() ? 0.0 : mean(rssi);
     // A channel can be visited twice in odd hop plans; keep the dwell with
     // more reads (better averaging), the earlier one on a tie.
     std::vector<ChannelAgg>& entries = per_antenna[dwell.antenna];
@@ -51,7 +73,7 @@ std::vector<AntennaTrace> preprocess_round(const RoundTrace& round) {
         });
     if (it == entries.end()) {
       entries.push_back(agg);
-    } else if (dwell.phases.size() > it->phase.n_reads) {
+    } else if (phases.size() > it->phase.n_reads) {
       *it = agg;
     }
   }

@@ -9,22 +9,32 @@
 
 namespace rfp {
 
+namespace {
+
+/// Reads older than this relative to the tag's newest read are stale pose
+/// data; a partial round is emitted once its ready ports waited this long.
+constexpr double kMaxRoundAgeS = 30.0;
+/// Complete ports a partial round needs (the 2-D solvable minimum).
+constexpr std::size_t kPartialMinAntennas = 3;
+/// A track whose last accepted fix is older than this seeds no solve.
+constexpr double kWarmStartMaxAgeS = 30.0;
+
+}  // namespace
+
 StreamingSensor::StreamingSensor(const RfPrism& prism, StreamingConfig config,
                                  SensingEngine* engine)
-    : prism_(&prism), config_(std::move(config)), engine_(engine) {
+    : prism_(&prism),
+      config_(std::move(config)),
+      engine_(engine),
+      health_(prism_->config().geometry.n_antennas(), config_.health) {
   require(config_.min_channels_per_antenna >= 3,
           "StreamingSensor: need at least 3 channels per antenna");
-  require(config_.max_round_age_s > 0.0 && config_.tag_timeout_s > 0.0,
-          "StreamingSensor: ages must be positive");
+  require(config_.tag_timeout_s > 0.0,
+          "StreamingSensor: tag_timeout_s must be positive");
   require(config_.max_pending_tags > 0 &&
               config_.max_channels_per_antenna > 0 &&
               config_.max_reads_per_pool > 0,
           "StreamingSensor: memory caps must be positive");
-  require(config_.partial_min_antennas >= 3,
-          "StreamingSensor: partial rounds need >= 3 antennas");
-  if (config_.enable_health_monitor) {
-    health_.emplace(prism_->config().geometry.n_antennas(), config_.health);
-  }
   if (prism_->config().disentangle.drift.enable) {
     drift_.emplace(prism_->config().geometry.n_antennas(),
                    prism_->config().disentangle.drift);
@@ -43,7 +53,7 @@ void StreamingSensor::evict_stalest_tag() {
 }
 
 void StreamingSensor::prune_stale_pools(PendingTag& tag) {
-  const double cutoff = tag.newest_time_s - config_.max_round_age_s;
+  const double cutoff = tag.newest_time_s - kMaxRoundAgeS;
   for (auto& antenna : tag.antennas) {
     for (auto it = antenna.begin(); it != antenna.end();) {
       if (it->second.last_time_s < cutoff) {
@@ -82,7 +92,7 @@ void StreamingSensor::push(const TagRead& read) {
 
   // A report older than the whole round-age window cannot contribute to
   // the round being assembled — drop it on arrival.
-  if (read.time_s < tag.newest_time_s - config_.max_round_age_s) {
+  if (read.time_s < tag.newest_time_s - kMaxRoundAgeS) {
     ++stats_.stale_dropped;
     return;
   }
@@ -107,12 +117,10 @@ void StreamingSensor::push(const TagRead& read) {
   }
   ChannelPool& pool = pool_it->second;
 
-  if (config_.drop_duplicates) {
-    for (std::size_t i = 0; i < pool.times.size(); ++i) {
-      if (pool.times[i] == read.time_s && pool.phases[i] == read.phase) {
-        ++stats_.duplicates_dropped;
-        return;
-      }
+  for (std::size_t i = 0; i < pool.times.size(); ++i) {
+    if (pool.times[i] == read.time_s && pool.phases[i] == read.phase) {
+      ++stats_.duplicates_dropped;
+      return;
     }
   }
 
@@ -135,8 +143,7 @@ void StreamingSensor::push(const TagRead& read) {
 
   // Amortized push-time pruning: dead channels must not accumulate until
   // the whole tag times out.
-  if (tag.newest_time_s >
-      tag.last_prune_s + 0.25 * config_.max_round_age_s) {
+  if (tag.newest_time_s > tag.last_prune_s + 0.25 * kMaxRoundAgeS) {
     prune_stale_pools(tag);
   }
 }
@@ -146,8 +153,7 @@ void StreamingSensor::push(std::span<const TagRead> reads) {
 }
 
 bool StreamingSensor::antenna_monitored(std::size_t antenna) const {
-  return !health_ || antenna >= health_->n_antennas() ||
-         health_->healthy(antenna);
+  return antenna >= health_.n_antennas() || health_.healthy(antenna);
 }
 
 bool StreamingSensor::round_complete(const PendingTag& tag,
@@ -167,15 +173,14 @@ bool StreamingSensor::round_complete(const PendingTag& tag,
   // Degraded completion: a solvable subset has been ready for longer than
   // the round-age window while the remaining ports delivered nothing —
   // waiting longer only makes the ready data staler.
-  return config_.emit_partial_rounds &&
-         complete >= config_.partial_min_antennas &&
-         now_s - tag.first_time_s > config_.max_round_age_s;
+  return complete >= kPartialMinAntennas &&
+         now_s - tag.first_time_s > kMaxRoundAgeS;
 }
 
 RoundTrace StreamingSensor::assemble(PendingTag& tag) const {
   RoundTrace round;
   round.n_antennas = tag.antennas.size();
-  const double cutoff = tag.newest_time_s - config_.max_round_age_s;
+  const double cutoff = tag.newest_time_s - kMaxRoundAgeS;
   for (std::size_t ai = 0; ai < tag.antennas.size(); ++ai) {
     for (auto& [channel, pool] : tag.antennas[ai]) {
       if (pool.last_time_s < cutoff) continue;  // stale pose data
@@ -189,7 +194,7 @@ RoundTrace StreamingSensor::assemble(PendingTag& tag) const {
       round.dwells.push_back(std::move(dwell));
     }
   }
-  round.duration_s = config_.max_round_age_s;
+  round.duration_s = kMaxRoundAgeS;
   return round;
 }
 
@@ -251,7 +256,7 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
       const auto track = tracks_.find(ids[i]);
       if (track == tracks_.end()) continue;
       if (completed_at[i] - track->second.last_update_time_s() >
-          config_.warm_start_max_age_s) {
+          kWarmStartMaxAgeS) {
         continue;
       }
       // A maneuvering tag (per the attached trajectory sink's motion
@@ -267,7 +272,7 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
   }
 
   // ---- Phase 2: sense + account -----------------------------------------
-  const AntennaHealthMonitor* monitor = health_ ? &*health_ : nullptr;
+  const AntennaHealthMonitor* monitor = &health_;
   // One drift-correction snapshot for the whole poll: every round sensed
   // this poll sees the estimator state from the poll's start (same
   // snapshot discipline as the health monitor — order-free, so the batch
@@ -335,9 +340,7 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
         }
         break;
     }
-    if (health_) {
-      health_->observe_round(emitted.result, config_.min_channels_per_antenna);
-    }
+    health_.observe_round(emitted.result, config_.min_channels_per_antenna);
     if (drift_) {
       drift_->observe(emitted.result, prism_->config().geometry);
     }
@@ -424,7 +427,7 @@ void StreamingSensor::clear() {
   tracks_.clear();
   stats_ = {};
   high_water_s_ = 0.0;
-  if (health_) health_->reset();
+  health_.reset();
   if (drift_) drift_->reset();
 }
 

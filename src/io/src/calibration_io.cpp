@@ -1,6 +1,5 @@
 #include "rfp/io/calibration_io.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -63,13 +62,16 @@ CalibrationDB read_calibrations(std::istream& is) {
     if (!(is >> n_antennas) || n_antennas == 0) {
       parse_fail("bad reader header");
     }
+    // Counts come from the file: grow as values parse, so a lying header
+    // fails on truncation instead of allocating what it claims.
     ReaderCalibration reader;
-    reader.delta_k.resize(n_antennas);
-    reader.delta_b.resize(n_antennas);
     for (std::size_t i = 0; i < n_antennas; ++i) {
-      if (!(is >> reader.delta_k[i] >> reader.delta_b[i])) {
+      double delta_k = 0.0, delta_b = 0.0;
+      if (!(is >> delta_k >> delta_b)) {
         parse_fail("truncated reader calibration");
       }
+      reader.delta_k.push_back(delta_k);
+      reader.delta_b.push_back(delta_b);
     }
     db.set_reader(std::move(reader));
     if (!(is >> tag)) parse_fail("truncated file after reader");
@@ -86,9 +88,10 @@ CalibrationDB read_calibrations(std::istream& is) {
     if (!(is >> id >> cal.kd >> cal.bd >> n_channels)) {
       parse_fail("bad tag header");
     }
-    cal.residual_curve.resize(n_channels);
     for (std::size_t i = 0; i < n_channels; ++i) {
-      if (!(is >> cal.residual_curve[i])) parse_fail("truncated residuals");
+      double residual = 0.0;
+      if (!(is >> residual)) parse_fail("truncated residuals");
+      cal.residual_curve.push_back(residual);
     }
     db.set_tag(id, std::move(cal));
   }
@@ -105,89 +108,6 @@ CalibrationDB load_calibrations(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw Error("load_calibrations: cannot open '" + path + "'");
   return read_calibrations(is);
-}
-
-namespace {
-
-constexpr const char* kDriftMagic = "rfprism-drift";
-constexpr const char* kDriftVersion = "v1";
-
-[[noreturn]] void drift_parse_fail(const std::string& what) {
-  throw Error("read_drift_state: " + what);
-}
-
-}  // namespace
-
-void write_drift_state(std::ostream& os, const DriftEstimator& estimator) {
-  os << kDriftMagic << ' ' << kDriftVersion << '\n';
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "antennas " << estimator.n_antennas() << " rounds "
-     << estimator.rounds_observed() << '\n';
-  for (const AntennaDriftState& st : estimator.state()) {
-    os << st.slope << ' ' << st.intercept << ' ' << st.slope_rate << ' '
-       << st.intercept_rate << ' ' << st.slope_spread << ' '
-       << st.intercept_spread << ' ' << st.updates << ' '
-       << (st.alarmed ? 1 : 0) << '\n';
-  }
-  if (!os) throw Error("write_drift_state: stream failure");
-}
-
-void read_drift_state(std::istream& is, DriftEstimator& estimator) {
-  std::string magic, version;
-  if (!(is >> magic >> version)) drift_parse_fail("missing header");
-  if (magic != kDriftMagic) drift_parse_fail("bad magic '" + magic + "'");
-  if (version != kDriftVersion) {
-    drift_parse_fail("unsupported version '" + version + "'");
-  }
-
-  std::string token;
-  std::size_t n_antennas = 0;
-  std::uint64_t rounds = 0;
-  if (!(is >> token) || token != "antennas" || !(is >> n_antennas)) {
-    drift_parse_fail("bad antennas header");
-  }
-  if (!(is >> token) || token != "rounds" || !(is >> rounds)) {
-    drift_parse_fail("bad rounds header");
-  }
-  if (n_antennas == 0) drift_parse_fail("zero antennas");
-  if (n_antennas != estimator.n_antennas()) {
-    drift_parse_fail("antenna count mismatch: file has " +
-                     std::to_string(n_antennas) + ", estimator has " +
-                     std::to_string(estimator.n_antennas()));
-  }
-
-  std::vector<AntennaDriftState> state(n_antennas);
-  for (std::size_t a = 0; a < n_antennas; ++a) {
-    AntennaDriftState& st = state[a];
-    int alarmed = 0;
-    if (!(is >> st.slope >> st.intercept >> st.slope_rate >>
-          st.intercept_rate >> st.slope_spread >> st.intercept_spread >>
-          st.updates >> alarmed)) {
-      drift_parse_fail("truncated antenna state");
-    }
-    if (alarmed != 0 && alarmed != 1) drift_parse_fail("bad alarmed flag");
-    st.alarmed = alarmed == 1;
-    if (!std::isfinite(st.slope) || !std::isfinite(st.intercept) ||
-        !std::isfinite(st.slope_rate) || !std::isfinite(st.intercept_rate) ||
-        !std::isfinite(st.slope_spread) ||
-        !std::isfinite(st.intercept_spread)) {
-      drift_parse_fail("non-finite antenna state");
-    }
-  }
-  estimator.restore(std::move(state), rounds);
-}
-
-void save_drift_state(const std::string& path,
-                      const DriftEstimator& estimator) {
-  std::ofstream os(path);
-  if (!os) throw Error("save_drift_state: cannot open '" + path + "'");
-  write_drift_state(os, estimator);
-}
-
-void load_drift_state(const std::string& path, DriftEstimator& estimator) {
-  std::ifstream is(path);
-  if (!is) throw Error("load_drift_state: cannot open '" + path + "'");
-  read_drift_state(is, estimator);
 }
 
 }  // namespace rfp

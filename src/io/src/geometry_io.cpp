@@ -63,21 +63,23 @@ DeploymentGeometry read_geometry(std::istream& is) {
   }
   if (n_antennas == 0) parse_fail("zero antennas");
 
+  // The count comes from the file: grow as antennas parse, so a lying
+  // header fails on truncation instead of allocating what it claims.
   DeploymentGeometry geometry;
-  geometry.antenna_positions.resize(n_antennas);
-  geometry.antenna_frames.resize(n_antennas);
   for (std::size_t i = 0; i < n_antennas; ++i) {
     if (!(is >> token) || token != "antenna") parse_fail("expected 'antenna'");
-    OrthoFrame& frame = geometry.antenna_frames[i];
-    if (!read_vec3(is, geometry.antenna_positions[i]) ||
-        !read_vec3(is, frame.u) || !read_vec3(is, frame.v) ||
-        !read_vec3(is, frame.n)) {
+    Vec3 position;
+    OrthoFrame frame;
+    if (!read_vec3(is, position) || !read_vec3(is, frame.u) ||
+        !read_vec3(is, frame.v) || !read_vec3(is, frame.n)) {
       parse_fail("truncated antenna line");
     }
-    if (!finite(geometry.antenna_positions[i]) || !finite(frame.u) ||
-        !finite(frame.v) || !finite(frame.n)) {
+    if (!finite(position) || !finite(frame.u) || !finite(frame.v) ||
+        !finite(frame.n)) {
       parse_fail("non-finite antenna values");
     }
+    geometry.antenna_positions.push_back(position);
+    geometry.antenna_frames.push_back(frame);
   }
 
   if (!(is >> token) || token != "region" ||

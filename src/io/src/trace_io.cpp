@@ -56,7 +56,8 @@ RoundTrace read_round(std::istream& is) {
   }
   if (round.n_antennas == 0) parse_fail("zero antennas");
 
-  round.dwells.reserve(n_dwells);
+  // Counts come from the file: containers grow as values parse, so a
+  // lying header fails on truncation instead of allocating what it claims.
   for (std::size_t d = 0; d < n_dwells; ++d) {
     if (!(is >> tag) || tag != "dwell") parse_fail("expected 'dwell'");
     Dwell dwell;
@@ -68,12 +69,11 @@ RoundTrace read_round(std::istream& is) {
     if (dwell.antenna >= round.n_antennas) {
       parse_fail("dwell antenna out of range");
     }
-    dwell.phases.resize(n_reads);
-    dwell.rssi_dbm.resize(n_reads);
     for (std::size_t i = 0; i < n_reads; ++i) {
-      if (!(is >> dwell.phases[i] >> dwell.rssi_dbm[i])) {
-        parse_fail("truncated reads");
-      }
+      double phase = 0.0, rssi = 0.0;
+      if (!(is >> phase >> rssi)) parse_fail("truncated reads");
+      dwell.phases.push_back(phase);
+      dwell.rssi_dbm.push_back(rssi);
     }
     round.dwells.push_back(std::move(dwell));
   }
@@ -140,8 +140,9 @@ std::vector<StreamRead> read_read_log(std::istream& is) {
   if (!(is >> tag) || tag != "reads" || !(is >> n_reads)) {
     readlog_fail("bad reads header");
   }
+  // Grow as reads parse: a lying count fails on truncation instead of
+  // allocating what it claims.
   std::vector<StreamRead> reads;
-  reads.reserve(n_reads);
   for (std::size_t i = 0; i < n_reads; ++i) {
     StreamRead read;
     if (!(is >> read.tag_id >> read.antenna >> read.channel >>

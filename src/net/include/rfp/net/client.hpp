@@ -30,10 +30,9 @@ struct ClientConfig {
   double connect_timeout_s = 5.0;
   /// Per-operation deadline for sends and response waits; 0 disables.
   double io_timeout_s = 30.0;
-  /// Total connection attempts before Client's constructor gives up.
+  /// Total connection attempts before Client's constructor gives up; the
+  /// sleep between attempts starts at 0.1 s and doubles each retry.
   int connect_attempts = 3;
-  /// Sleep between attempts, doubled each retry.
-  double retry_backoff_s = 0.1;
   std::size_t max_payload = kDefaultMaxPayload;
 
   // -- Request retry (sense / sense_raw / ping only) ---------------------
@@ -46,12 +45,8 @@ struct ClientConfig {
 
   /// Total attempts per request (>= 1); 1 restores fail-fast behaviour.
   int request_attempts = 3;
-  /// Sleep before each retry, doubled every time and capped below.
+  /// Sleep before each retry, doubled every time and capped at 1 s.
   double request_backoff_s = 0.05;
-  double request_backoff_max_s = 1.0;
-  /// Overall wall-clock deadline across all attempts of one request,
-  /// including backoff sleeps; 0 = attempts alone bound the work.
-  double request_deadline_s = 0.0;
 };
 
 class Client {

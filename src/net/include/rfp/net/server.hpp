@@ -130,10 +130,6 @@ struct ServerConfig {
   /// traffic on the wire path (rfpd --pool-buffers tunes the freelist
   /// depth).
   BufferPoolConfig pool;
-  /// Outbound frames at or under this size are packed into the tail
-  /// outbox segment (one small copy) instead of occupying their own
-  /// segment, keeping writev iovec chains short under pong floods.
-  std::size_t outbox_coalesce_limit = 512;
 };
 
 /// Monotonic counters for one connection (also aggregated server-wide).

@@ -8,6 +8,11 @@ namespace rfp::net {
 
 namespace {
 
+/// First sleep between connection attempts, doubled each retry.
+constexpr double kConnectBackoffS = 0.1;
+/// Cap on the doubling sleep between request retries.
+constexpr double kRequestBackoffMaxS = 1.0;
+
 [[noreturn]] void throw_error_frame(const Frame& frame) {
   WireError code = WireError::kInternal;
   std::string message;
@@ -26,7 +31,7 @@ Client::Client(ClientConfig config)
       scratch_(pool_->acquire()),
       decoder_(config_.max_payload) {
   std::string error = "no attempts made";
-  double backoff = config_.retry_backoff_s;
+  double backoff = kConnectBackoffS;
   const int attempts = std::max(1, config_.connect_attempts);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0 && backoff > 0.0) {
@@ -135,7 +140,6 @@ void Client::reconnect() {
 
 void Client::run_with_retry(const std::function<void()>& op) {
   const int attempts = std::max(1, config_.request_attempts);
-  const auto started = std::chrono::steady_clock::now();
   double backoff = std::max(0.0, config_.request_backoff_s);
   for (int attempt = 0;; ++attempt) {
     try {
@@ -147,21 +151,13 @@ void Client::run_with_retry(const std::function<void()>& op) {
       throw;
     } catch (const NetError&) {
       if (attempt + 1 >= attempts) throw;
-      if (config_.request_deadline_s > 0.0) {
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          started)
-                .count();
-        // Retry only when the budget also covers the backoff sleep.
-        if (elapsed + backoff >= config_.request_deadline_s) throw;
-      }
       // Whatever partial state the wire is in, it cannot be resynced —
       // resend on a fresh connection.
       fd_.reset();
       decoder_ = FrameDecoder(config_.max_payload);
       if (backoff > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        backoff = std::min(backoff * 2.0, config_.request_backoff_max_s);
+        backoff = std::min(backoff * 2.0, kRequestBackoffMaxS);
       }
     }
   }

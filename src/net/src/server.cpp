@@ -178,8 +178,8 @@ class Server::Reactor {
     PooledBuffer pending_fatal;
 
     Connection(std::size_t max_payload, OutboxCounters* outbox_counters,
-               std::size_t coalesce_limit, std::size_t ready_slots)
-        : decoder(max_payload), out(outbox_counters, coalesce_limit) {
+               std::size_t ready_slots)
+        : decoder(max_payload), out(outbox_counters) {
       ready.resize(ready_slots);
     }
 
@@ -451,8 +451,7 @@ class Server::Reactor {
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_unique<Connection>(
-          server_.config_.max_payload, &outbox_counters_,
-          server_.config_.outbox_coalesce_limit, ready_slots_);
+          server_.config_.max_payload, &outbox_counters_, ready_slots_);
       conn->id = next_connection_id_++;
       conn->fd = UniqueFd(fd);
       conn->tenant = server_.default_tenant_;

@@ -14,18 +14,15 @@
 
 namespace rfp::track {
 
+/// The filter's process noise is a white angular-acceleration density of
+/// 2e-4 rad^2/s^3; a fresh track starts with an angular-rate std-dev of
+/// 0.35 rad/s, sized so the first few fixes of a spinning platform pass
+/// the gate while the rate estimate is still forming (~20 deg/s admitted
+/// from a cold start).
 struct RotationConfig {
-  /// Process noise: white angular-acceleration density [rad^2/s^3].
-  double rate_density = 2e-4;
-
   /// Measurement noise: std-dev of one round's alpha estimate [rad]
   /// (the sensing pipeline's orientation accuracy; ~3 degrees).
   double measurement_sigma_rad = 0.05;
-
-  /// Initial angular-rate std-dev [rad/s]. Sized so the first few fixes
-  /// of a spinning platform pass the gate while the rate estimate is
-  /// still forming (0.35 rad/s ~ 20 deg/s admitted from a cold start).
-  double initial_rate_sigma_rad_s = 0.35;
 
   /// Reject fixes whose squared normalized innovation exceeds this
   /// (chi-square, 1 dof; 10.8 ~ 0.1% tail).
@@ -60,9 +57,6 @@ class RotationTracker {
 
   /// Angular rate estimate [rad/s]; signed.
   double rate_rad_s() const { return omega_; }
-
-  /// Posterior variance of the cumulative angle [rad^2].
-  double angle_variance() const { return p_aa_; }
 
   double last_update_time_s() const { return initialized_ ? last_time_s_ : 0.0; }
   std::size_t updates() const { return updates_; }

@@ -13,29 +13,19 @@
 /// translation, sustained angular rate means rotation. Tracker evidence
 /// is noisy per round, so it only flips the label after a short
 /// hysteresis hold.
+///
+/// Thresholds: a tracked speed of 0.01 m/s, or a normalized
+/// position-innovation (squared Mahalanobis, 2 dof) of 6 — the first sign
+/// of a step-advance is a fix landing far from the prediction — reads as
+/// translation; an |angular rate| of 0.05 rad/s (~3 deg/s) reads as
+/// rotation. Tracker-derived evidence must persist 2 consecutive rounds
+/// before the label flips; a §V-C mobility reject bypasses the hold.
 
 namespace rfp::track {
 
 enum class MotionLabel : unsigned char { kStatic, kMoving, kRotating };
 
 const char* to_string(MotionLabel label);
-
-struct SegmentationConfig {
-  /// Tracked speed above this reads as translation [m/s].
-  double moving_speed_m_s = 0.01;
-
-  /// Normalized position-innovation (squared Mahalanobis, 2 dof) above
-  /// this reads as translation even at low tracked speed — the first
-  /// sign of a step-advance is a fix landing far from the prediction.
-  double moving_innovation_chi2 = 6.0;
-
-  /// |angular rate| above this reads as rotation [rad/s] (~3 deg/s).
-  double rotating_rate_rad_s = 0.05;
-
-  /// Tracker-derived evidence must persist this many consecutive rounds
-  /// before the label flips. A §V-C mobility reject bypasses the hold.
-  std::size_t hold_rounds = 2;
-};
 
 /// Per-round evidence for one tag.
 struct MotionEvidence {
@@ -50,17 +40,14 @@ struct MotionEvidence {
 /// pure function of the evidence sequence.
 class MotionSegmenter {
  public:
-  explicit MotionSegmenter(SegmentationConfig config = {});
-
   /// Fold in one round's evidence; returns the (possibly updated) label.
   MotionLabel update(const MotionEvidence& evidence);
 
   MotionLabel label() const { return label_; }
 
  private:
-  MotionLabel classify(const MotionEvidence& evidence) const;
+  static MotionLabel classify(const MotionEvidence& evidence);
 
-  SegmentationConfig config_;
   MotionLabel label_ = MotionLabel::kStatic;
   MotionLabel pending_ = MotionLabel::kStatic;
   std::size_t pending_rounds_ = 0;

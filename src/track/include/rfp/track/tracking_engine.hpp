@@ -34,12 +34,8 @@ struct TrackingConfig {
   /// pipeline stays byte-identical to the pre-tracking binary when off.
   bool enable = false;
 
-  TrackerConfig tracker;            ///< position Kalman per tag
-  RotationConfig rotation;          ///< rotation unwrap per tag
-  SegmentationConfig segmentation;  ///< motion labeling per tag
-
-  /// Accepted fixes before a tentative track is confirmed.
-  std::size_t confirm_updates = 3;
+  TrackerConfig tracker;    ///< position Kalman per tag
+  RotationConfig rotation;  ///< rotation unwrap per tag
 
   /// No accepted fix for this long => the track coasts (one kCoast
   /// event; predictions keep extrapolating with growing variance).
@@ -49,11 +45,6 @@ struct TrackingConfig {
   /// state discarded). Must exceed coast_after_s to ever coast.
   double drop_after_s = 90.0;
 
-  /// Measurement-noise inflation for degraded-grade fixes (subset
-  /// solves): the track survives antenna handoff/quarantine windows by
-  /// accepting the degraded fixes at this multiple of measurement_sigma.
-  double degraded_noise_inflation = 3.0;
-
   /// Concurrent tracks; beyond this the stalest track is dropped.
   std::size_t max_tracks = 4096;
 };
@@ -61,7 +52,7 @@ struct TrackingConfig {
 enum class TrackPhase : std::uint8_t { kTentative, kConfirmed, kCoasting };
 enum class TrackEventKind : std::uint8_t {
   kInit,     ///< track (re)initialized from a fix
-  kConfirm,  ///< reached confirm_updates accepted fixes
+  kConfirm,  ///< reached 3 accepted fixes
   kUpdate,   ///< routine per-emission update (accepted or not)
   kCoast,    ///< no accepted fix for coast_after_s
   kDrop,     ///< track discarded (staleness or capacity)
@@ -151,9 +142,7 @@ class TrackingEngine final : public TrackSink {
  private:
   struct Track {
     explicit Track(const TrackingConfig& config)
-        : position(config.tracker),
-          rotation(config.rotation),
-          segmenter(config.segmentation) {}
+        : position(config.tracker), rotation(config.rotation) {}
     Tracker position;
     RotationTracker rotation;
     MotionSegmenter segmenter;

@@ -7,6 +7,14 @@
 
 namespace rfp::track {
 
+namespace {
+
+// Process noise and cold-start rate uncertainty; see RotationConfig.
+constexpr double kRateDensity = 2e-4;            // [rad^2/s^3]
+constexpr double kInitialRateSigmaRadS = 0.35;  // [rad/s]
+
+}  // namespace
+
 double fold_mod_pi(double delta_rad) {
   double r = std::fmod(delta_rad, kPi);  // (-pi, pi), sign of delta_rad
   if (r < -kPi / 2.0) {
@@ -18,8 +26,7 @@ double fold_mod_pi(double delta_rad) {
 }
 
 RotationTracker::RotationTracker(RotationConfig config) : config_(config) {
-  require(config_.rate_density > 0.0 && config_.measurement_sigma_rad > 0.0 &&
-              config_.initial_rate_sigma_rad_s > 0.0 && config_.gate_chi2 > 0.0,
+  require(config_.measurement_sigma_rad > 0.0 && config_.gate_chi2 > 0.0,
           "RotationTracker: parameters must be positive");
 }
 
@@ -29,7 +36,7 @@ void RotationTracker::anchor(double theta, double time_s) {
   const double r = config_.measurement_sigma_rad * config_.measurement_sigma_rad;
   p_aa_ = r;
   p_av_ = 0.0;
-  p_vv_ = config_.initial_rate_sigma_rad_s * config_.initial_rate_sigma_rad_s;
+  p_vv_ = kInitialRateSigmaRadS * kInitialRateSigmaRadS;
   last_time_s_ = time_s;
   initialized_ = true;
   updates_ = 1;
@@ -47,7 +54,7 @@ bool RotationTracker::update(double alpha_rad, double time_s) {
   require(dt >= 0.0, "RotationTracker::update: time went backwards");
 
   // ---- Predict ----------------------------------------------------------
-  const double q = config_.rate_density;
+  const double q = kRateDensity;
   const double p_aa = p_aa_ + 2.0 * dt * p_av_ + dt * dt * p_vv_ +
                       q * dt * dt * dt / 3.0;
   const double p_av = p_av_ + dt * p_vv_ + q * dt * dt / 2.0;

@@ -2,9 +2,17 @@
 
 #include <cmath>
 
-#include "rfp/common/error.hpp"
-
 namespace rfp::track {
+
+namespace {
+
+// Evidence thresholds and hysteresis hold; see segmentation.hpp.
+constexpr double kMovingSpeedMS = 0.01;
+constexpr double kMovingInnovationChi2 = 6.0;
+constexpr double kRotatingRateRadS = 0.05;
+constexpr std::size_t kHoldRounds = 2;
+
+}  // namespace
 
 const char* to_string(MotionLabel label) {
   switch (label) {
@@ -18,21 +26,14 @@ const char* to_string(MotionLabel label) {
   return "?";
 }
 
-MotionSegmenter::MotionSegmenter(SegmentationConfig config) : config_(config) {
-  require(config_.moving_speed_m_s > 0.0 &&
-              config_.moving_innovation_chi2 > 0.0 &&
-              config_.rotating_rate_rad_s > 0.0 && config_.hold_rounds >= 1,
-          "MotionSegmenter: thresholds must be positive");
-}
-
-MotionLabel MotionSegmenter::classify(const MotionEvidence& e) const {
+MotionLabel MotionSegmenter::classify(const MotionEvidence& e) {
   // Rotation first: a spinning tag also jitters its position estimate,
   // and the rate witness is the more specific of the two.
-  if (std::abs(e.rotation_rate_rad_s) >= config_.rotating_rate_rad_s) {
+  if (std::abs(e.rotation_rate_rad_s) >= kRotatingRateRadS) {
     return MotionLabel::kRotating;
   }
-  if (e.mobility_reject || e.speed_m_s >= config_.moving_speed_m_s ||
-      (e.fix_accepted && e.innovation2 >= config_.moving_innovation_chi2)) {
+  if (e.mobility_reject || e.speed_m_s >= kMovingSpeedMS ||
+      (e.fix_accepted && e.innovation2 >= kMovingInnovationChi2)) {
     return MotionLabel::kMoving;
   }
   return MotionLabel::kStatic;
@@ -57,7 +58,7 @@ MotionLabel MotionSegmenter::update(const MotionEvidence& e) {
     pending_ = candidate;
     pending_rounds_ = 1;
   }
-  if (pending_rounds_ >= config_.hold_rounds) {
+  if (pending_rounds_ >= kHoldRounds) {
     label_ = pending_;
     pending_rounds_ = 0;
   }

@@ -7,6 +7,18 @@
 
 namespace rfp::track {
 
+namespace {
+
+/// Accepted fixes before a tentative track is confirmed.
+constexpr std::size_t kConfirmUpdates = 3;
+
+/// Measurement-noise inflation for degraded-grade fixes (subset solves):
+/// the track survives antenna handoff/quarantine windows by accepting the
+/// degraded fixes at this multiple of measurement_sigma.
+constexpr double kDegradedNoiseInflation = 3.0;
+
+}  // namespace
+
 const char* to_string(TrackPhase phase) {
   switch (phase) {
     case TrackPhase::kTentative:
@@ -37,13 +49,9 @@ const char* to_string(TrackEventKind kind) {
 
 TrackingEngine::TrackingEngine(TrackingConfig config)
     : config_(std::move(config)) {
-  require(config_.confirm_updates >= 1,
-          "TrackingEngine: confirm_updates must be >= 1");
   require(config_.coast_after_s > 0.0 &&
               config_.drop_after_s > config_.coast_after_s,
           "TrackingEngine: need 0 < coast_after_s < drop_after_s");
-  require(config_.degraded_noise_inflation >= 1.0,
-          "TrackingEngine: degraded_noise_inflation must be >= 1");
   require(config_.max_tracks >= 1, "TrackingEngine: max_tracks must be >= 1");
 }
 
@@ -100,12 +108,6 @@ void TrackingEngine::start_track(const std::string& tag_id,
     ++stats_.degraded_fixes_accepted;
   }
   emit(tag_id, track, t, TrackEventKind::kInit, emission.result.grade, true);
-  if (config_.confirm_updates <= 1) {
-    track.phase = TrackPhase::kConfirmed;
-    ++stats_.tracks_confirmed;
-    emit(tag_id, track, t, TrackEventKind::kConfirm, emission.result.grade,
-         true);
-  }
 }
 
 void TrackingEngine::observe(const StreamedResult& emission) {
@@ -142,7 +144,7 @@ void TrackingEngine::observe(const StreamedResult& emission) {
 
   // ---- Position fix (possibly degraded) -------------------------------
   const double noise_scale = result.grade == SensingGrade::kDegraded
-                                 ? config_.degraded_noise_inflation
+                                 ? kDegradedNoiseInflation
                                  : 1.0;
   double innovation2 = 0.0;
   bool accepted = false;
@@ -180,7 +182,7 @@ void TrackingEngine::observe(const StreamedResult& emission) {
       ++stats_.tracks_started;
       kind = TrackEventKind::kInit;
     } else if (track.phase != TrackPhase::kConfirmed && state &&
-               state->updates >= config_.confirm_updates) {
+               state->updates >= kConfirmUpdates) {
       track.phase = TrackPhase::kConfirmed;
       ++stats_.tracks_confirmed;
       kind = TrackEventKind::kConfirm;

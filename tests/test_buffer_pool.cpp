@@ -26,7 +26,7 @@ TEST(BufferPoolTest, AcquireGrantsClearedCapacity) {
   EXPECT_GE(buf.storage().capacity(), 10'000u);
   // The default hint still grants at least the smallest class.
   PooledBuffer small = pool.acquire();
-  EXPECT_GE(small.storage().capacity(), BufferPoolConfig{}.min_class_bytes);
+  EXPECT_GE(small.storage().capacity(), BufferPool::kMinClassBytes);
   const BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.acquires, 2u);
   EXPECT_EQ(stats.misses, 2u);  // cold pool: everything came off the heap
@@ -57,7 +57,7 @@ TEST(BufferPoolTest, OversizeAndOverflowReleasesAreDiscarded) {
   {
     // Grew past the largest class while out: freed, not kept.
     PooledBuffer huge = pool.acquire();
-    huge.storage().reserve(config.max_class_bytes * 2);
+    huge.storage().reserve(BufferPool::kMaxClassBytes * 2);
   }
   EXPECT_EQ(pool.stats().discards, 1u);
   EXPECT_EQ(pool.stats().buffers_resident, 0u);

@@ -7,11 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "rfp/common/constants.hpp"
 #include "rfp/common/error.hpp"
 #include "rfp/core/antenna_health.hpp"
 #include "rfp/core/engine.hpp"
 #include "rfp/core/pipeline.hpp"
 #include "rfp/exp/testbed.hpp"
+#include "rfp/io/binary_io.hpp"
 #include "rfp/rfsim/faults.hpp"
 
 namespace rfp {
@@ -170,23 +172,6 @@ TEST_F(DegradedTest, QuarantinedPortExcludedEvenWhenClean) {
   EXPECT_TRUE(result.unhealthy_antennas.empty());
 }
 
-TEST_F(DegradedTest, DegradedModeOffKeepsStrictBehaviour) {
-  RfPrismConfig config;
-  config.enable_degraded_mode = false;
-  const RfPrism strict = bed_->make_pipeline_variant(config);
-
-  FaultProfile profile;
-  profile.dead_antennas = {2};
-  const FaultInjector injector(profile);
-  const TagState state = bed_->tag_state({0.8, 1.2}, 0.5, "glass");
-  const SensingResult result =
-      strict.sense(injector.apply(bed_->collect(state, 9), 9), bed_->tag_id());
-  // The strict pipeline has no subset path: the dead port rejects the
-  // round outright.
-  EXPECT_FALSE(result.valid);
-  EXPECT_EQ(result.grade, SensingGrade::kRejected);
-}
-
 TEST_F(DegradedTest, MonitorLearnsDeadPortFromStream) {
   AntennaHealthMonitor monitor(4);
   FaultProfile profile;
@@ -267,6 +252,37 @@ TEST_F(DegradedTest, BadDwellFrequencyIsSkippedNotThrown) {
     EXPECT_TRUE(same(batch[1], single));
     EXPECT_TRUE(same(batch[2], prism.sense(good_b, tag)));
   }
+}
+
+TEST_F(DegradedTest, OutOfDomainPhaseReadIsDropped) {
+  // A reader reports phase in [0, 2*pi). One corrupt read among a round's
+  // thousands must be dropped, not averaged into its channel: the round
+  // senses bit-identically to the same round without that read.
+  const RfPrism& prism = bed_->prism();
+  const std::string& tag = bed_->tag_id();
+  const RoundTrace clean =
+      bed_->collect(bed_->tag_state({1.0, 1.0}, 1.09, "metal"), 303);
+  RoundTrace erased = clean;
+  erased.dwells[5].phases.erase(erased.dwells[5].phases.begin() + 1);
+  erased.dwells[5].rssi_dbm.erase(erased.dwells[5].rssi_dbm.begin() + 1);
+  const std::vector<std::uint8_t> expected =
+      encode_result(prism.sense(erased, tag));
+  for (const double bad : {1e300, -1e-3, kTwoPi,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    RoundTrace round = clean;
+    round.dwells[5].phases[1] = bad;
+    EXPECT_EQ(encode_result(prism.sense(round, tag)), expected);
+  }
+
+  // A dwell left with no in-domain read is skipped like an empty one.
+  RoundTrace all_bad = clean;
+  for (double& phase : all_bad.dwells[5].phases) phase = 1e300;
+  RoundTrace removed = clean;
+  removed.dwells.erase(removed.dwells.begin() + 5);
+  EXPECT_EQ(encode_result(prism.sense(all_bad, tag)),
+            encode_result(prism.sense(removed, tag)));
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -420,9 +419,16 @@ TEST_F(DriftTest, AlarmLatchesOnDriftedPortAndNeverOnCleanCorpus) {
   ASSERT_EQ(alarms.size(), 1u);
   EXPECT_EQ(alarms[0].antenna, 1u);
   EXPECT_NEAR(alarms[0].slope_drift, 1.5e-8, 2e-9);
-  EXPECT_GE(alarms[0].updates, config.alarm_min_updates);
+  EXPECT_GE(alarms[0].updates, DriftEstimator::kAlarmMinUpdates);
   EXPECT_EQ(estimator.stats().alarms_raised, 1u);
   EXPECT_EQ(estimator.stats().alarms_active, 1u);
+  EXPECT_TRUE(estimator.corrections().active);
+
+  // reset() forgets the latched alarm and the warm-up.
+  estimator.reset();
+  EXPECT_EQ(estimator.rounds_observed(), 0u);
+  EXPECT_TRUE(estimator.alarms().empty());
+  EXPECT_FALSE(estimator.corrections().active);
 
   // A drift-free corpus (real rounds, honest noise) never alarms.
   const RfPrism prism = drift_enabled_variant();
@@ -611,36 +617,6 @@ TEST_F(DriftTest, StreamingSensorRunsTheLoopAutomatically) {
   StreamingSensor plain_sensor(bed_->prism());
   EXPECT_EQ(plain_sensor.drift(), nullptr);
   EXPECT_EQ(plain_sensor.drift_stats().rounds_observed, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// State restore (the calibration_io round-trip is in test_io.cpp)
-
-TEST_F(DriftTest, RestoreAdoptsStateAndValidates) {
-  DriftConfig config;
-  config.enable = true;
-  DriftEstimator estimator(4, config);
-
-  std::vector<AntennaDriftState> state(4);
-  state[1].slope = 5e-9;
-  state[1].updates = 20;
-  state[1].alarmed = true;
-  estimator.restore(state, 30);
-  EXPECT_EQ(estimator.rounds_observed(), 30u);
-  EXPECT_EQ(estimator.state()[1].slope, 5e-9);
-  EXPECT_EQ(estimator.alarms().size(), 1u);
-  EXPECT_TRUE(estimator.corrections().active);  // past warm-up already
-
-  EXPECT_THROW(estimator.restore(std::vector<AntennaDriftState>(3), 1),
-               InvalidArgument);
-  std::vector<AntennaDriftState> bad(4);
-  bad[0].intercept = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(estimator.restore(bad, 1), InvalidArgument);
-
-  estimator.reset();
-  EXPECT_EQ(estimator.rounds_observed(), 0u);
-  EXPECT_TRUE(estimator.alarms().empty());
-  EXPECT_FALSE(estimator.corrections().active);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 /// Integration and property tests: full simulate -> sense cycles over the
 /// shared testbed, parameterized across the paper's experimental factors.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "rfp/common/angles.hpp"
@@ -143,7 +145,13 @@ TEST(Integration, MultipathSuppressionBeatsNoSuppression) {
   // Rebuild a pipeline without suppression over the same deployment.
   RfPrismConfig pcfg = bed.prism().config();
   pcfg.fitting.multipath_suppression = false;
-  pcfg.enable_error_detector = false;
+  // A detector that passes every line with >= 3 inlier channels: only
+  // lines the solver cannot use are gated.
+  pcfg.error_detector.max_fit_rmse = std::numeric_limits<double>::infinity();
+  pcfg.error_detector.max_median_residual =
+      std::numeric_limits<double>::infinity();
+  pcfg.error_detector.min_line_support_fraction = 0.0;
+  pcfg.error_detector.min_inlier_channels = 3;
   const RfPrism plain = bed.make_pipeline_variant(std::move(pcfg));
 
   double err_suppressed = 0.0, err_plain = 0.0;

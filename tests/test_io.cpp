@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cctype>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -43,6 +45,62 @@ void expect_rounds_equal(const RoundTrace& a, const RoundTrace& b) {
       ASSERT_DOUBLE_EQ(da.rssi_dbm[r], db.rssi_dbm[r]);
     }
   }
+}
+
+/// Counts beyond any vector's max_size(): a parser that sized containers
+/// from them would fail by std::length_error before allocating.
+constexpr const char* kHugeCounts[] = {"18446744073709551615",
+                                       "4611686018427387904"};
+
+/// Deterministic mutation fuzz over a text parser's pristine input: huge
+/// counts spliced over integer tokens, truncations and byte flips. Every
+/// input must either parse or throw rfp::Error; any other exception fails
+/// (a crash or out-of-bounds read is the sanitizers' department).
+template <typename Parse>
+void fuzz_text_parser(const std::string& pristine, Parse parse,
+                      std::uint64_t seed) {
+  std::vector<std::pair<std::size_t, std::size_t>> integer_tokens;
+  for (std::size_t at = 0; at < pristine.size();) {
+    std::size_t end = at;
+    while (end < pristine.size() &&
+           std::isspace(static_cast<unsigned char>(pristine[end])) == 0) {
+      ++end;
+    }
+    if (end > at && std::all_of(pristine.begin() + at, pristine.begin() + end,
+                                [](char c) { return c >= '0' && c <= '9'; })) {
+      integer_tokens.emplace_back(at, end - at);
+    }
+    at = end + 1;
+  }
+  ASSERT_FALSE(integer_tokens.empty());
+
+  Rng rng(mix_seed(seed, 0xF022));
+  std::size_t parsed = 0, rejected = 0;
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    std::string text = pristine;
+    if (rng.bernoulli(0.3)) {
+      const auto [at, length] =
+          integer_tokens[rng.uniform_index(integer_tokens.size())];
+      text.replace(at, length, kHugeCounts[rng.uniform_index(2)]);
+    }
+    if (rng.bernoulli(0.5)) text.resize(rng.uniform_index(text.size() + 1));
+    const std::size_t flips = rng.uniform_index(4);
+    for (std::size_t f = 0; f < flips && !text.empty(); ++f) {
+      text[rng.uniform_index(text.size())] ^=
+          static_cast<char>(1u << rng.uniform_index(8));
+    }
+    std::stringstream ss(text);
+    try {
+      parse(ss);
+      ++parsed;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iteration << ": " << e.what();
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(TraceIo, RoundTripsExactly) {
@@ -104,6 +162,27 @@ TEST(TraceIo, RejectsAntennaOutOfRange) {
   std::stringstream ss(
       "rfprism-trace v1\nround 1 10 1\ndwell 5 0 903e6 0.0 1\n1.0 -50\n");
   EXPECT_THROW(read_round(ss), Error);
+}
+
+TEST(TraceIo, RejectsCountsBeyondTheData) {
+  for (const char* huge : kHugeCounts) {
+    SCOPED_TRACE(huge);
+    std::stringstream reads(
+        std::string("rfprism-trace v1\nround 1 10 1\ndwell 0 0 903e6 0.0 ") +
+        huge + "\n1.0 -50\n");
+    EXPECT_THROW(read_round(reads), Error);
+    std::stringstream dwells(std::string("rfprism-trace v1\nround 1 10 ") +
+                             huge + "\ndwell 0 0 903e6 0.0 1\n1.0 -50\n");
+    EXPECT_THROW(read_round(dwells), Error);
+  }
+}
+
+TEST(TraceIo, FuzzedInputThrowsOnlyError) {
+  RoundTrace round = sample_round(14);
+  round.dwells.resize(12);
+  std::stringstream ss;
+  write_round(ss, round);
+  fuzz_text_parser(ss.str(), [](std::istream& is) { read_round(is); }, 1);
 }
 
 TEST(TraceIo, MissingFileThrows) {
@@ -183,6 +262,21 @@ TEST(ReadLogIo, RejectsTruncation) {
   // silently return a short log.
   std::stringstream cut(text.substr(0, text.size() * 2 / 3));
   EXPECT_THROW(read_read_log(cut), Error);
+}
+
+TEST(ReadLogIo, RejectsCountsBeyondTheData) {
+  for (const char* huge : kHugeCounts) {
+    SCOPED_TRACE(huge);
+    std::stringstream ss(std::string("rfprism-readlog v1\nreads ") + huge +
+                         "\ntag-a 0 0 903000000 0 1 -50\n");
+    EXPECT_THROW(read_read_log(ss), Error);
+  }
+}
+
+TEST(ReadLogIo, FuzzedInputThrowsOnlyError) {
+  std::stringstream ss;
+  write_read_log(ss, sample_read_log());
+  fuzz_text_parser(ss.str(), [](std::istream& is) { read_read_log(is); }, 2);
 }
 
 TEST(CalibrationIo, EmptyDbRoundTrips) {
@@ -282,113 +376,34 @@ TEST(CalibrationIo, RejectsTruncatedTags) {
   EXPECT_THROW(read_calibrations(ss), Error);
 }
 
-// ---- Drift-estimator state ("rfprism-drift v1") ---------------------------
-
-DriftEstimator sample_drift_estimator() {
-  DriftConfig config;
-  config.enable = true;
-  DriftEstimator estimator(3, config);
-  std::vector<AntennaDriftState> state(3);
-  state[0].slope = 1.25e-9;
-  state[0].intercept = -0.375;
-  state[0].slope_rate = 2.5e-11;
-  state[0].intercept_rate = -1e-3;
-  state[0].slope_spread = 5e-10;
-  state[0].intercept_spread = 0.0625;
-  state[0].updates = 41;
-  state[2].slope = -9.5e-9;
-  state[2].updates = 17;
-  state[2].alarmed = true;
-  estimator.restore(std::move(state), 44);
-  return estimator;
-}
-
-TEST(DriftStateIo, RoundTripsExactly) {
-  const DriftEstimator original = sample_drift_estimator();
-  std::stringstream ss;
-  write_drift_state(ss, original);
-
-  DriftConfig config;
-  config.enable = true;
-  DriftEstimator reloaded(3, config);
-  read_drift_state(ss, reloaded);
-
-  EXPECT_EQ(reloaded.rounds_observed(), original.rounds_observed());
-  ASSERT_EQ(reloaded.state().size(), original.state().size());
-  for (std::size_t a = 0; a < original.state().size(); ++a) {
-    const AntennaDriftState& want = original.state()[a];
-    const AntennaDriftState& got = reloaded.state()[a];
-    EXPECT_DOUBLE_EQ(got.slope, want.slope) << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.intercept, want.intercept) << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.slope_rate, want.slope_rate) << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.intercept_rate, want.intercept_rate)
-        << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.slope_spread, want.slope_spread) << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.intercept_spread, want.intercept_spread)
-        << "antenna " << a;
-    EXPECT_EQ(got.updates, want.updates) << "antenna " << a;
-    EXPECT_EQ(got.alarmed, want.alarmed) << "antenna " << a;
+TEST(CalibrationIo, RejectsCountsBeyondTheData) {
+  for (const char* huge : kHugeCounts) {
+    SCOPED_TRACE(huge);
+    std::stringstream reader(std::string("rfprism-calibration v1\nreader ") +
+                             huge + "\n0 0\ntags 0\n");
+    EXPECT_THROW(read_calibrations(reader), Error);
+    std::stringstream residuals(
+        std::string("rfprism-calibration v1\ntags 1\ntag a 0 0 ") + huge +
+        "\n0.5\n");
+    EXPECT_THROW(read_calibrations(residuals), Error);
   }
-  // Alarm latches and warm-up survive the round trip.
-  ASSERT_EQ(reloaded.alarms().size(), 1u);
-  EXPECT_EQ(reloaded.alarms()[0].antenna, 2u);
-  EXPECT_TRUE(reloaded.corrections().active);
 }
 
-TEST(DriftStateIo, FileRoundTrip) {
-  const DriftEstimator original = sample_drift_estimator();
-  const std::string path = testing::TempDir() + "/rfp_drift_test.txt";
-  save_drift_state(path, original);
-  DriftEstimator reloaded(3, DriftConfig{});
-  load_drift_state(path, reloaded);
-  EXPECT_EQ(reloaded.rounds_observed(), 44u);
-  EXPECT_DOUBLE_EQ(reloaded.state()[2].slope, -9.5e-9);
-}
-
-TEST(DriftStateIo, CorruptInputsRejectedAndEstimatorUntouched) {
-  const auto expect_rejected = [](const std::string& text) {
-    SCOPED_TRACE(text);
-    DriftEstimator estimator(3, DriftConfig{});
-    std::vector<AntennaDriftState> sentinel(3);
-    sentinel[1].slope = 7e-9;
-    estimator.restore(sentinel, 5);
-
-    std::stringstream ss(text);
-    EXPECT_THROW(read_drift_state(ss, estimator), Error);
-    // Failure must leave the estimator exactly as it was.
-    EXPECT_EQ(estimator.rounds_observed(), 5u);
-    EXPECT_DOUBLE_EQ(estimator.state()[1].slope, 7e-9);
-  };
-
-  expect_rejected("not-drift v1\n");
-  expect_rejected("rfprism-drift v9\nantennas 3 rounds 1\n");
-  expect_rejected("rfprism-drift v1\nantennae 3 rounds 1\n");
-  expect_rejected("rfprism-drift v1\nantennas 0 rounds 1\n");
-  // Antenna count mismatch (file says 2, estimator holds 3).
-  expect_rejected(
-      "rfprism-drift v1\nantennas 2 rounds 1\n"
-      "0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n");
-  // Truncated per-antenna state.
-  expect_rejected(
-      "rfprism-drift v1\nantennas 3 rounds 1\n"
-      "0 0 0 0 0 0 0 0\n0 0 0 0\n");
-  // Non-finite values.
-  expect_rejected(
-      "rfprism-drift v1\nantennas 3 rounds 1\n"
-      "nan 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n");
-  expect_rejected(
-      "rfprism-drift v1\nantennas 3 rounds 1\n"
-      "0 inf 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n");
-  // Alarmed flag outside {0, 1}.
-  expect_rejected(
-      "rfprism-drift v1\nantennas 3 rounds 1\n"
-      "0 0 0 0 0 0 0 2\n0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n");
-}
-
-TEST(DriftStateIo, MissingFileThrows) {
-  DriftEstimator estimator(3, DriftConfig{});
-  EXPECT_THROW(load_drift_state("/nonexistent/path/drift.txt", estimator),
-               Error);
+TEST(CalibrationIo, FuzzedInputThrowsOnlyError) {
+  CalibrationDB db;
+  ReaderCalibration reader;
+  reader.delta_k = {0.0, 1.5e-9, -2.25e-9};
+  reader.delta_b = {0.0, 0.75, -1.125};
+  db.set_reader(reader);
+  TagCalibration tag;
+  tag.kd = 3.5e-10;
+  tag.bd = 2.7182818;
+  tag.residual_curve = {0.01, -0.02, 0.035};
+  db.set_tag("tag-7", tag);
+  std::stringstream ss;
+  write_calibrations(ss, db);
+  fuzz_text_parser(ss.str(), [](std::istream& is) { read_calibrations(is); },
+                   3);
 }
 
 TEST(GeometryIo, SurveyRoundTripsExactly) {
@@ -466,6 +481,21 @@ TEST(GeometryIo, RejectsMalformedInput) {
   expect_rejected(
       "rfprism-geometry v1\nantennas 1\n"
       "antenna 0 0 1 1 0 0 0 1 0 0 0 -1\n");
+}
+
+TEST(GeometryIo, RejectsCountsBeyondTheData) {
+  for (const char* huge : kHugeCounts) {
+    SCOPED_TRACE(huge);
+    std::stringstream ss(std::string("rfprism-geometry v1\nantennas ") + huge +
+                         "\nantenna 0 0 1 1 0 0 0 1 0 0 0 -1\n");
+    EXPECT_THROW(read_geometry(ss), Error);
+  }
+}
+
+TEST(GeometryIo, FuzzedInputThrowsOnlyError) {
+  std::stringstream ss;
+  write_geometry(ss, testutil::exact_geometry(make_scene_2d(206)));
+  fuzz_text_parser(ss.str(), [](std::istream& is) { read_geometry(is); }, 4);
 }
 
 TEST(GeometryIo, MissingFileThrows) {

@@ -602,16 +602,15 @@ int run_stream(const StreamOptions& options) {
   std::printf("  tags timed out     %llu\n",
               static_cast<unsigned long long>(stats.tags_timed_out));
 
-  if (const AntennaHealthMonitor* health = sensor->health()) {
-    std::printf("\nport health\n");
-    for (std::size_t a = 0; a < health->n_antennas(); ++a) {
-      const PortHealth& port = health->port(a);
-      std::printf("  port %zu  %-12s rmse %.3f  read rate %.2f  "
-                  "exclusion rate %.2f  rounds %zu\n",
-                  a, port.quarantined ? "QUARANTINED" : "healthy",
-                  port.ewma_rmse, port.ewma_read_rate,
-                  port.ewma_exclusion_rate, port.rounds_observed);
-    }
+  const AntennaHealthMonitor& health = *sensor->health();
+  std::printf("\nport health\n");
+  for (std::size_t a = 0; a < health.n_antennas(); ++a) {
+    const PortHealth& port = health.port(a);
+    std::printf("  port %zu  %-12s rmse %.3f  read rate %.2f  "
+                "exclusion rate %.2f  rounds %zu\n",
+                a, port.quarantined ? "QUARANTINED" : "healthy",
+                port.ewma_rmse, port.ewma_read_rate, port.ewma_exclusion_rate,
+                port.rounds_observed);
   }
 
   if (const DriftEstimator* drift = sensor->drift()) {
