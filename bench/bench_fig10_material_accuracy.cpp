@@ -3,6 +3,9 @@
 /// training only at 0 deg still gives 88.0% (0 deg) and 87.8% (90 deg) at
 /// test time — distance and orientation do not significantly affect
 /// identification.
+///
+/// The closing `JSON:` line carries the overall and per-orientation
+/// accuracies; CI gates the overall one.
 
 #include <map>
 
@@ -107,5 +110,14 @@ int main() {
   std::printf("    %-8s %5.1f%%  (n=%d)\n", "overall",
               total_n ? 100.0 * total_ok / total_n : 0.0, total_n);
   std::printf("  [paper: 87.9%% overall]\n");
+
+  const auto accuracy = [](std::pair<int, int> counts) {
+    return counts.second ? 100.0 * counts.first / counts.second : 0.0;
+  };
+  std::printf("\nJSON: {\"overall_accuracy_pct\": %.3f, "
+              "\"accuracy_0deg_pct\": %.3f, \"accuracy_90deg_pct\": %.3f}\n",
+              accuracy({total_ok, total_n}),
+              accuracy(orientation_counts[false]),
+              accuracy(orientation_counts[true]));
   return 0;
 }

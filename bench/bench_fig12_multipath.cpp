@@ -7,6 +7,9 @@
 /// The "Multipath" column disables the channel-selection suppressor
 /// (paper §V-D) on the identical cluttered deployment, isolating its
 /// contribution (paper: 37.8% / 43.2% / 26.1% gains).
+///
+/// The closing `JSON:` line carries each environment's means; CI gates
+/// their ordering.
 
 #include <memory>
 
@@ -115,5 +118,18 @@ int main() {
   std::printf("  suppression gains: loc %.1f%%, orient %.1f%%, material "
               "%.1f%%  (paper: 37.8 / 43.2 / 26.1)\n",
               100.0 * loc_gain, 100.0 * orient_gain, 100.0 * mat_gain);
+
+  std::printf("\nJSON: {");
+  const std::pair<const char*, const EnvResult*> envs[] = {
+      {"clean", &clean}, {"suppressed", &suppressed},
+      {"unsuppressed", &unsuppressed}};
+  for (const auto& [name, env] : envs) {
+    std::printf("%s\"%s\": {\"loc_mean_cm\": %.3f, \"orient_mean_deg\": %.3f, "
+                "\"material_accuracy\": %.3f, \"n\": %zu}",
+                env == &clean ? "" : ", ", name, mean(env->loc_cm),
+                mean(env->orient_deg), env->material_accuracy,
+                env->loc_cm.size());
+  }
+  std::printf("}\n");
   return 0;
 }

@@ -3,6 +3,8 @@
 /// at 0 deg). Paper reference: mean 7.61 cm across orientations (max
 /// spread between angles 0.70 cm) and 7.48 cm across materials, with
 /// conductive targets slightly worse.
+///
+/// The closing `JSON:` line carries both overall means; CI gates them.
 
 #include "support/bench_util.hpp"
 
@@ -59,5 +61,9 @@ int main() {
   print_stat_row("overall", overall_mat, "cm");
   std::printf("  [paper: 7.48 cm mean; metal & conductive liquids slightly "
               "higher]\n");
+
+  std::printf("\nJSON: {\"orientation_sweep_mean_cm\": %.3f, "
+              "\"material_sweep_mean_cm\": %.3f}\n",
+              mean(overall_deg), mean(overall_mat));
   return 0;
 }

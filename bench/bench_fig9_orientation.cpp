@@ -2,6 +2,9 @@
 /// material. Paper reference: 8.59 / 10.40 / 10.50 deg across regions
 /// (near best — stronger LOS), 9.83 deg overall, conductive materials
 /// slightly worse.
+///
+/// The closing `JSON:` line carries the per-region, overall and
+/// material-sweep means; CI gates them.
 
 #include <map>
 
@@ -58,5 +61,11 @@ int main() {
   print_stat_row("overall", overall_mat, "deg");
   std::printf("  [paper: 9.83 deg overall; metal & conductive liquids "
               "slightly higher]\n");
+
+  std::printf("\nJSON: {\"near_mean_deg\": %.3f, \"medium_mean_deg\": %.3f, "
+              "\"far_mean_deg\": %.3f, \"overall_mean_deg\": %.3f, "
+              "\"material_sweep_mean_deg\": %.3f}\n",
+              mean(by_region[Region::kNear]), mean(by_region[Region::kMedium]),
+              mean(by_region[Region::kFar]), mean(overall), mean(overall_mat));
   return 0;
 }
